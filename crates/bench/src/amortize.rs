@@ -10,7 +10,7 @@
 //! the loaded oracle. Every row also re-checks the bit-identity contract
 //! (loaded answers == fresh answers, compared via `to_bits`).
 //!
-//! Same no-serde discipline as E16/E17: the artifact is written with
+//! Same no-serde discipline as E17: the artifact is written with
 //! `format!`, re-parsed by `jsonv` (the crate-private mini JSON parser), and validated before the
 //! `tables` binary writes it.
 

@@ -4,8 +4,6 @@
 //! cargo run --release -p spsep-bench --bin tables            # everything
 //! cargo run --release -p spsep-bench --bin tables -- e1 fig2 # a subset
 //! cargo run --release -p spsep-bench --bin tables -- \
-//!     e16 --kernels-out BENCH_kernels.json     # kernel bench + artifact
-//! cargo run --release -p spsep-bench --bin tables -- \
 //!     e17 --phases-out BENCH_phases.json       # phase bench + artifact
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e17 --phases-in BENCH_phases.json        # re-render the artifact
@@ -16,7 +14,7 @@
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e20 --mmap-out BENCH_mmap.json           # v1-decode vs v2-mmap load
 //! cargo run --release -p spsep-bench --bin tables -- \
-//!     e21 --simd-out BENCH_simd.json           # scalar-vs-SIMD kernels
+//!     e21 --simd-out BENCH_simd.json           # dense kernels vs naive
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e22 --obs-out BENCH_obs.json             # telemetry overhead
 //! cargo run --release -p spsep-bench --bin tables -- \
@@ -24,12 +22,10 @@
 //! ```
 //!
 //! Experiment ids: e1 e2 e3 e4 e5 fig1 fig2 e8 e9 e10 e11 e12 e13 e14
-//! e15 e16 e17 e18 e19 e20 e21 e22 e23 check
+//! e15 e17 e18 e19 e20 e21 e22 e23 check (E16 is retired)
 //! (see DESIGN.md §4 for the paper-artifact mapping).
 //!
-//! Flags: `--kernels-out <path>` writes the validated
-//! `spsep-kernel-bench/v1` JSON artifact of E16; `--phases-out <path>`
-//! writes the `spsep-phase-bench/v1` artifact of E17; `--phases-in
+//! Flags: `--phases-out <path>` writes the `spsep-phase-bench/v1` artifact of E17; `--phases-in
 //! <path>` renders E17 from a committed artifact instead of
 //! re-measuring; `--amortize-out <path>` / `--amortize-in <path>` do the
 //! same for E18's `spsep-amortize/v1` oracle-snapshot benchmark;
@@ -37,30 +33,30 @@
 //! `spsep-serve-bench/v1` daemon chaos-load benchmark; `--mmap-out
 //! <path>` / `--mmap-in <path>` for E20's `spsep-mmap-bench/v1`
 //! v1-decode vs v2-mmap load benchmark; `--simd-out
-//! <path>` / `--simd-in <path>` for E21's `spsep-simd-bench/v1`
-//! scalar-vs-SIMD kernel benchmark; `--obs-out <path>` / `--obs-in
+//! <path>` / `--simd-in <path>` for E21's `spsep-simd-bench/v2`
+//! production-vs-naive dense kernel benchmark; `--obs-out <path>` / `--obs-in
 //! <path>` for E22's `spsep-obs-bench/v1` telemetry-overhead
 //! benchmark; `--sep-out <path>` / `--sep-in <path>` for E23's
 //! `spsep-sep-bench/v1` road-network separator-quality benchmark;
-//! `--smoke` shrinks E16/E17/E18/E19/E20/E21/E22/E23 to CI-sized
+//! `--smoke` shrinks E17/E18/E19/E20/E21/E22/E23 to CI-sized
 //! instances.
 //!
 //! Unknown experiment ids and flags are reported with the valid set —
 //! never a bare panic.
 
-use spsep_bench::{amortize, experiments, kernels, mmap, obs, phases, sep, serve, simd};
+use spsep_bench::{amortize, experiments, mmap, obs, phases, sep, serve, simd};
 
 /// Every experiment id `tables` understands, in presentation order.
 const VALID_IDS: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "fig1", "fig2", "e8", "e9", "e10", "e11", "e12", "e13",
-    "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "check", "all",
+    "e14", "e15", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "check", "all",
 ];
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: tables [ids...] [--smoke] [--kernels-out p] [--phases-out p] \
-         [--phases-in p] [--amortize-out p] [--amortize-in p] \
+        "usage: tables [ids...] [--smoke] [--phases-out p] [--phases-in p] \
+         [--amortize-out p] [--amortize-in p] \
          [--serve-out p] [--serve-in p] [--mmap-out p] [--mmap-in p] \
          [--simd-out p] [--simd-in p] [--obs-out p] [--obs-in p] \
          [--sep-out p] [--sep-in p]\n\
@@ -89,7 +85,6 @@ fn read_or_fail(path: &str, what: &str) -> String {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut kernels_out: Option<String> = None;
     let mut phases_out: Option<String> = None;
     let mut phases_in: Option<String> = None;
     let mut amortize_out: Option<String> = None;
@@ -109,7 +104,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--kernels-out" => kernels_out = Some(flag_value(&mut it, "--kernels-out")),
             "--phases-out" => phases_out = Some(flag_value(&mut it, "--phases-out")),
             "--phases-in" => phases_in = Some(flag_value(&mut it, "--phases-in")),
             "--amortize-out" => amortize_out = Some(flag_value(&mut it, "--amortize-out")),
@@ -190,21 +184,6 @@ fn main() {
     }
     if want("e15") {
         println!("{hr}\n{}", experiments::e15_family_speedup());
-    }
-    if want("e16") || kernels_out.is_some() {
-        let (report, records) = kernels::e16_kernel_speedup(smoke);
-        println!("{hr}\n{report}");
-        assert!(
-            records.iter().all(|r| r.bit_identical),
-            "blocked kernels diverged from naive — determinism contract broken"
-        );
-        let json = kernels::kernels_json(&records);
-        let entries = kernels::validate_kernels_json(&json)
-            .unwrap_or_else(|e| fail(&format!("kernels artifact failed validation: {e}")));
-        if let Some(path) = &kernels_out {
-            write_or_fail(path, &json, "kernels artifact");
-            eprintln!("[tables] wrote {path} ({entries} entries)");
-        }
     }
     if want("e17") || phases_out.is_some() || phases_in.is_some() {
         if let Some(path) = &phases_in {
@@ -310,7 +289,7 @@ fn main() {
             let records = simd::read_simd_json(&json)
                 .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
             println!(
-                "{hr}\nE21 — scalar-vs-SIMD kernels from {path} ({} entries):\n\n{}",
+                "{hr}\nE21 — dense kernels vs naive from {path} ({} entries):\n\n{}",
                 records.len(),
                 simd::render_simd_table(&records)
             );
@@ -319,7 +298,7 @@ fn main() {
             println!("{hr}\n{report}");
             assert!(
                 records.iter().all(|r| r.bit_identical),
-                "SIMD kernels diverged from blocked scalar — determinism \
+                "production kernels diverged from naive — determinism \
                  contract broken"
             );
             let json = simd::simd_json(&records);

@@ -716,8 +716,9 @@ pub fn e13_leaf_ablation() -> String {
 
 /// E14 (ablation) — separator-builder comparison on one planar graph:
 /// the same triangulated mesh decomposed by (a) BFS levels, (b)
-/// geometric median cuts on the lattice coordinates, (c) Lipton–Tarjan
-/// fundamental cycles. Tree quality drives every downstream bound.
+/// geometric median cuts on the lattice coordinates, (c) the
+/// embedding-free Lipton–Tarjan-shaped level builder (`planar_level_tree`).
+/// Tree quality drives every downstream bound.
 pub fn e14_builder_comparison() -> String {
     let mut out = String::from(
         "E14 — ablation: decomposition builders on the same 64×64 \
@@ -726,7 +727,7 @@ pub fn e14_builder_comparison() -> String {
     );
     let side = 64usize;
     let mut rng = StdRng::seed_from_u64(31);
-    let (g, tri) = spsep_separator::planar::triangulated_grid(side, side, &mut rng);
+    let (g, _) = spsep_separator::planar::triangulated_grid(side, side, &mut rng);
     let adj = g.undirected_skeleton();
     // Lattice coordinates for the geometric builder.
     let coords = {
@@ -747,8 +748,8 @@ pub fn e14_builder_comparison() -> String {
             builders::geometric_tree(&adj, &coords, RecursionLimits::default()),
         ),
         (
-            "lt-cycles",
-            spsep_separator::planar::planar_cycle_tree(&adj, &tri, 4),
+            "lt-levels",
+            spsep_separator::planar_level_tree(&adj, RecursionLimits::default()),
         ),
     ];
     let mut t = Table::new(&[

@@ -1,6 +1,6 @@
 //! Minimal JSON reader shared by the artifact validators — just enough
-//! to check the documents this crate writes (`BENCH_kernels.json`,
-//! `BENCH_phases.json`). The workspace has no serde; writers use
+//! to check the documents this crate writes (`BENCH_phases.json`,
+//! `BENCH_simd.json`, …). The workspace has no serde; writers use
 //! `format!` and every artifact is re-parsed and validated before it is
 //! written (see the `tables` binary).
 

@@ -9,7 +9,6 @@ pub mod amortize;
 pub mod experiments;
 pub mod families;
 mod jsonv;
-pub mod kernels;
 pub mod loadrep;
 pub mod mmap;
 pub mod obs;

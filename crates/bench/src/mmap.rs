@@ -15,7 +15,7 @@
 //! oracle's rows via `to_bits`, and the v2 oracle must actually be
 //! slab-backed (`is_slab_backed`) on platforms with mmap.
 //!
-//! Same no-serde discipline as E16–E19: the artifact is written with
+//! Same no-serde discipline as E17–E19: the artifact is written with
 //! `format!`, re-parsed by `jsonv` (the crate-private mini JSON
 //! parser), and validated before the `tables` binary writes it.
 

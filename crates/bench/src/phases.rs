@@ -13,7 +13,7 @@
 //! * `doubling`   — the squaring rounds of Alg 4.3 / Remark 4.4;
 //! * `query`      — one sequential scheduled SSSP run.
 //!
-//! Same no-serde discipline as E16: the artifact is written with
+//! The workspace has no serde: the artifact is written with
 //! `format!`, re-parsed by `jsonv` (the crate-private mini JSON parser), and validated before the
 //! `tables` binary writes it.
 

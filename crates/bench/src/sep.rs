@@ -6,34 +6,31 @@
 //! quantity every preprocessing bound in the paper is written in — was
 //! never measured on the workload the paper targets (§6: near-planar
 //! road networks). E23 decomposes the committed `data/road-160x150.gr`
-//! instance (regenerated bit-exactly from its seed, which also yields
-//! the face list the old heuristic needs) with all three applicable
+//! instance (regenerated bit-exactly from its seed) with both applicable
 //! builders:
 //!
-//! * `cycle` — the original `planar_cycle_tree` fundamental-cycle
-//!   heuristic (needs an explicit triangulation);
 //! * `bfs`   — the general-purpose BFS-level builder (`-b bfs`);
-//! * `level` — the new embedding-free BFS-level + fundamental-cycle
-//!   builder (`planar_level_tree`, Lipton–Tarjan shape; what
-//!   `-b auto` selects on this instance);
+//! * `level` — the embedding-free BFS-level + fundamental-cycle builder
+//!   (`planar_level_tree`, Lipton–Tarjan shape; what `-b auto` selects
+//!   on this instance);
 //!
 //! and reports, per builder, the [`spsep_separator::QualityReport`]
 //! numbers (one shared implementation with `spsep-cli info` — another
 //! ISSUE 10 satellite) plus end-to-end prepare and per-source query
 //! wall-clocks. The validator *encodes the acceptance criterion*: the
-//! `level` builder must meet the `c ≤ 4.0` √-bound and its max
-//! separator must be strictly smaller than `cycle`'s on the same
+//! `level` builder must meet the `c ≤ 4.0` √-bound and its `E⁺`
+//! candidate mass must be strictly smaller than `bfs`'s on the same
 //! instance — an artifact recording a regression can never validate,
 //! and the committed-artifact test re-checks it on every CI run.
 //!
-//! Same no-serde discipline as E16–E22: hand-rolled writer, `jsonv`
+//! Same no-serde discipline as E17–E22: hand-rolled writer, `jsonv`
 //! re-parse, validation before the `tables` binary writes anything.
 
 use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
-use spsep_separator::planar::{planar_cycle_tree, road_network};
+use spsep_separator::planar::road_network;
 use spsep_separator::{planar_level_tree, separator_quality, RecursionLimits, SepTree};
 use std::time::Instant;
 
@@ -55,7 +52,7 @@ const QUERY_SOURCES: usize = 4;
 
 /// One (instance, builder) measurement.
 pub struct SepRecord {
-    /// Builder slug: `cycle`, `bfs`, or `level`.
+    /// Builder slug: `bfs` or `level`.
     pub builder: String,
     /// Instance vertices.
     pub n: usize,
@@ -85,18 +82,17 @@ pub struct SepRecord {
     pub meets_bound: bool,
 }
 
-/// E23 — measure all three builders on the road instance. Returns the
+/// E23 — measure both builders on the road instance. Returns the
 /// rendered report plus the raw records for the JSON artifact.
 ///
 /// `smoke` swaps the committed 24 000-node instance for a 1 200-node
-/// one so CI exercises the full pipeline (generate → decompose ×3 →
+/// one so CI exercises the full pipeline (generate → decompose ×2 →
 /// validate → prepare → query → serialize → validate) in seconds.
 pub fn e23_separators(smoke: bool) -> (String, Vec<SepRecord>) {
     let (w, h, seed) = if smoke { ROAD_SMOKE } else { ROAD_FULL };
-    let (g, _, tri) = road_network(w, h, seed);
+    let (g, _, _) = road_network(w, h, seed);
     let adj = g.undirected_skeleton();
     let builders: Vec<(&str, SepTree)> = vec![
-        ("cycle", planar_cycle_tree(&adj, &tri, 4)),
         (
             "bfs",
             spsep_separator::builders::bfs_tree(&adj, RecursionLimits::default()),
@@ -142,10 +138,9 @@ pub fn e23_separators(smoke: bool) -> (String, Vec<SepRecord>) {
     }
     let mut out = format!(
         "E23 — separator quality on the road instance \
-         road_network({w}, {h}, {seed}) (n = {}, m = {}): the original \
-         fundamental-cycle heuristic vs the general BFS builder vs the \
-         embedding-free Lipton–Tarjan-shaped level+cycle builder, \
-         measured against the c·√k bound (c ≤ {C_BOUND}).\n\n",
+         road_network({w}, {h}, {seed}) (n = {}, m = {}): the general \
+         BFS builder vs the embedding-free Lipton–Tarjan-shaped \
+         level+cycle builder, measured against the c·√k bound (c ≤ {C_BOUND}).\n\n",
         g.n(),
         g.m()
     );
@@ -271,10 +266,10 @@ pub fn read_sep_json(json: &str) -> Result<Vec<SepRecord>, String> {
 ///
 /// Beyond structure and per-entry sanity (positive sizes, finite
 /// timings, `meets_bound` consistent with `sqrt_c` vs `c_bound`,
-/// `max_sep ≥ root_sep`, balance in `(0, 1]`), this encodes the ISSUE
-/// 10 acceptance criterion as a cross-entry invariant: for every
-/// instance size `n` present, the `level` builder must (a) meet the
-/// √-bound and (b) have a strictly smaller `max_sep` than the `cycle`
+/// `max_sep ≥ root_sep`, balance in `(0, 1]`), this encodes the
+/// acceptance criterion as a cross-entry invariant: for every instance
+/// size `n` present, the `level` builder must (a) meet the √-bound and
+/// (b) have a strictly smaller `eplus_candidates` than the `bfs`
 /// builder. An artifact recording a separator-quality regression can
 /// never validate, so it can never be committed.
 pub fn validate_sep_json(json: &str) -> Result<usize, String> {
@@ -304,9 +299,9 @@ pub fn validate_sep_json(json: &str) -> Result<usize, String> {
     if entries.is_empty() {
         return Err("`entries` is empty".into());
     }
-    // (n, builder) -> max_sep and the level builder's bound flag, for
-    // the cross-entry acceptance check.
-    let mut cycle_max: Vec<(usize, usize)> = Vec::new();
+    // (n, builder) -> eplus_candidates and the level builder's bound
+    // flag, for the cross-entry acceptance check.
+    let mut bfs_eplus: Vec<(usize, usize)> = Vec::new();
     let mut level_rows: Vec<(usize, usize, bool)> = Vec::new();
     for (idx, e) in entries.iter().enumerate() {
         let Json::Obj(e) = e else {
@@ -314,8 +309,8 @@ pub fn validate_sep_json(json: &str) -> Result<usize, String> {
         };
         let ctx = |msg: &str| format!("entry {idx}: {msg}");
         let builder = match field(e, "builder").map_err(|m| ctx(&m))? {
-            Json::Str(s) if matches!(s.as_str(), "cycle" | "bfs" | "level") => s.clone(),
-            _ => return Err(ctx("`builder` must be one of cycle|bfs|level")),
+            Json::Str(s) if matches!(s.as_str(), "bfs" | "level") => s.clone(),
+            _ => return Err(ctx("`builder` must be one of bfs|level")),
         };
         let int = |key: &str| -> Result<usize, String> {
             match field(e, key).map_err(|m| ctx(&m))? {
@@ -367,24 +362,23 @@ pub fn validate_sep_json(json: &str) -> Result<usize, String> {
             )));
         }
         match builder.as_str() {
-            "cycle" => cycle_max.push((n, max_sep)),
-            "level" => level_rows.push((n, max_sep, meets)),
-            _ => {}
+            "bfs" => bfs_eplus.push((n, eplus)),
+            _ => level_rows.push((n, eplus, meets)),
         }
     }
-    // The acceptance criterion: on every instance the improved builder
-    // must beat the old heuristic and meet the bound.
-    for &(n, level_max, meets) in &level_rows {
+    // The acceptance criterion: on every instance the planar builder
+    // must meet the bound and need fewer `E⁺` candidates than BFS.
+    for &(n, level_eplus, meets) in &level_rows {
         if !meets {
             return Err(format!(
                 "level builder misses the √-bound on the n = {n} instance"
             ));
         }
-        if let Some(&(_, cycle)) = cycle_max.iter().find(|&&(cn, _)| cn == n) {
-            if level_max >= cycle {
+        if let Some(&(_, bfs)) = bfs_eplus.iter().find(|&&(bn, _)| bn == n) {
+            if level_eplus >= bfs {
                 return Err(format!(
-                    "level builder max_sep {level_max} is not strictly better than \
-                     cycle's {cycle} on the n = {n} instance"
+                    "level builder eplus_candidates {level_eplus} is not strictly \
+                     below bfs's {bfs} on the n = {n} instance"
                 ));
             }
         }
@@ -397,7 +391,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<SepRecord> {
-        let row = |builder: &str, max_sep: usize, sqrt_c: f64| SepRecord {
+        let row = |builder: &str, max_sep: usize, sqrt_c: f64, eplus: usize| SepRecord {
             builder: builder.into(),
             n: 24_000,
             m: 142_762,
@@ -407,15 +401,14 @@ mod tests {
             total_sep: 10 * max_sep,
             sqrt_c,
             balance: 0.99,
-            eplus_candidates: 6_000_000,
+            eplus_candidates: eplus,
             prepare_ms: 1800.0,
             query_ms: 10.0,
             meets_bound: sqrt_c <= C_BOUND,
         };
         vec![
-            row("cycle", 290, 2.9),
-            row("bfs", 216, 2.1),
-            row("level", 211, 1.7),
+            row("bfs", 216, 2.1, 7_443_339),
+            row("level", 211, 1.7, 6_269_901),
         ]
     }
 
@@ -423,7 +416,7 @@ mod tests {
     fn writer_output_validates_and_roundtrips() {
         let rows = sample();
         let json = sep_json(&rows);
-        assert_eq!(validate_sep_json(&json), Ok(3));
+        assert_eq!(validate_sep_json(&json), Ok(2));
         let back = read_sep_json(&json).unwrap();
         assert_eq!(back.len(), rows.len());
         for (a, b) in rows.iter().zip(&back) {
@@ -448,29 +441,27 @@ mod tests {
         let good = sep_json(&sample());
         assert!(validate_sep_json(&good.replace("spsep-sep-bench/v1", "nope")).is_err());
         // Unknown builder slug.
-        assert!(validate_sep_json(&good.replace("\"cycle\"", "\"magic\"")).is_err());
+        assert!(validate_sep_json(&good.replace("\"bfs\"", "\"magic\"")).is_err());
         // meets_bound flag contradicting its numbers.
         let mut rows = sample();
-        rows[2].meets_bound = false;
+        rows[1].meets_bound = false;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
         // Level builder missing the bound.
         let mut rows = sample();
-        rows[2].sqrt_c = C_BOUND + 1.0;
-        rows[2].meets_bound = false;
+        rows[1].sqrt_c = C_BOUND + 1.0;
+        rows[1].meets_bound = false;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        // Level builder not strictly better than cycle: the acceptance
-        // criterion is enforced at validation time.
+        // Level builder not strictly below bfs on E⁺ candidates: the
+        // acceptance criterion is enforced at validation time.
         let mut rows = sample();
-        rows[2].max_sep = rows[0].max_sep;
-        rows[2].root_sep = rows[0].max_sep;
-        rows[2].total_sep = 10 * rows[0].max_sep;
+        rows[1].eplus_candidates = rows[0].eplus_candidates;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
         // Structural nonsense.
         let mut rows = sample();
-        rows[1].root_sep = rows[1].max_sep + 1;
+        rows[0].root_sep = rows[0].max_sep + 1;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
         let mut rows = sample();
-        rows[1].balance = 1.5;
+        rows[0].balance = 1.5;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
         // Truncated document.
         let mut cut = good;
@@ -484,7 +475,7 @@ mod tests {
         let json = std::fs::read_to_string(path).expect("BENCH_sep.json committed at repo root");
         let entries =
             validate_sep_json(&json).expect("committed artifact is valid spsep-sep-bench/v1");
-        assert_eq!(entries, 3, "one row per builder");
+        assert_eq!(entries, 2, "one row per builder");
         let rows = read_sep_json(&json).unwrap();
         // The committed run is the full 24 000-node road instance.
         for r in &rows {
@@ -498,12 +489,12 @@ mod tests {
                 .find(|r| r.builder == slug)
                 .unwrap_or_else(|| panic!("missing {slug} row"))
         };
-        let (cycle, level) = (get("cycle"), get("level"));
+        let (bfs, level) = (get("bfs"), get("level"));
         assert!(
-            level.max_sep < cycle.max_sep,
-            "level {} vs cycle {}",
-            level.max_sep,
-            cycle.max_sep
+            level.eplus_candidates < bfs.eplus_candidates,
+            "level {} vs bfs {}",
+            level.eplus_candidates,
+            bfs.eplus_candidates
         );
         assert!(level.meets_bound);
     }
@@ -511,7 +502,7 @@ mod tests {
     #[test]
     fn e23_smoke_covers_every_builder() {
         let (report, records) = e23_separators(true);
-        assert_eq!(records.len(), 3, "{report}");
+        assert_eq!(records.len(), 2, "{report}");
         let (w, h, _) = ROAD_SMOKE;
         for r in &records {
             assert_eq!(r.n, w * h);
@@ -519,8 +510,8 @@ mod tests {
             assert!(r.prepare_ms > 0.0 && r.query_ms > 0.0, "{}", r.builder);
             assert!(r.balance > 0.0 && r.balance <= 1.0, "{}", r.builder);
         }
-        // The improved builder must already win at smoke scale.
+        // The planar builder must already win at smoke scale.
         let json = sep_json(&records);
-        assert_eq!(validate_sep_json(&json), Ok(3));
+        assert_eq!(validate_sep_json(&json), Ok(2));
     }
 }

@@ -12,7 +12,7 @@
 //! and the row-cache shard counters. Every answer is verified
 //! bit-for-bit against direct `Oracle` calls.
 //!
-//! Same no-serde discipline as E16–E18: the artifact is written with
+//! Same no-serde discipline as E17–E18: the artifact is written with
 //! `format!`, re-parsed by `jsonv`, and validated before the `tables`
 //! binary writes it. The validator is deliberately strict about the
 //! robustness invariants — a document recording an unhandled chaos

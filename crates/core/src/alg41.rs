@@ -215,10 +215,7 @@ pub(crate) fn process_internal<S: Semiring>(
         )
     };
 
-    // Step i–ii: H_S and its closure, through the kernel tier the
-    // workspace bound once at creation (scalar/SIMD dispatch is not
-    // re-resolved per node).
-    let kernel = ws.kernel;
+    // Step i–ii: H_S and its closure.
     let hs = &mut ws.dense;
     hs.reset_identity(ns);
     for (a, &u) in sep_verts.iter().enumerate() {
@@ -228,7 +225,7 @@ pub(crate) fn process_internal<S: Semiring>(
             }
         }
     }
-    let outcome = kernel.floyd_warshall(hs);
+    let outcome = hs.floyd_warshall();
     let hs = &ws.dense;
 
     // Step iii: rectangular blocks of H.

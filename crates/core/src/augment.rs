@@ -256,7 +256,6 @@ pub fn leaf_iface_matrix_ws<S: Semiring>(
         );
     }
 
-    let kernel = ws.kernel;
     let full = &mut ws.dense;
     full.reset_identity(k);
     for (li, off) in ws.leaf_off.windows(2).enumerate() {
@@ -265,7 +264,7 @@ pub fn leaf_iface_matrix_ws<S: Semiring>(
             full.relax(li, lj as usize, w);
         }
     }
-    let outcome = kernel.floyd_warshall(full);
+    let outcome = full.floyd_warshall();
     for (a, &va) in iface.verts.iter().enumerate() {
         let ia = vertices
             .binary_search(&va)

@@ -238,15 +238,19 @@ fn tree_graphs_with_centroid_decomposition() {
     assert!(pre.stats().eplus_edges <= 40 * g.n());
 }
 
-/// Planar triangulations via fundamental-cycle separators (the
-/// Lipton–Tarjan mechanism behind Section 6's planar results).
+/// Planar triangulations via BFS-level + fundamental-cycle separators
+/// (the Lipton–Tarjan mechanism behind Section 6's planar results).
 #[test]
 fn planar_mesh_with_cycle_separators() {
     use spsep_separator::planar;
     let mut rng = StdRng::seed_from_u64(135);
-    let (g, tri) = planar::triangulated_grid(12, 11, &mut rng);
+    let (g, _) = planar::triangulated_grid(12, 11, &mut rng);
     let adj = g.undirected_skeleton();
-    let tree = planar::planar_cycle_tree(&adj, &tri, 4);
+    let limits = spsep_separator::RecursionLimits {
+        leaf_size: 4,
+        ..Default::default()
+    };
+    let tree = planar::planar_level_tree(&adj, limits);
     tree.validate(&adj).unwrap();
     let metrics = Metrics::new();
     for algo in [Algorithm::LeavesUp, Algorithm::PathDoubling] {

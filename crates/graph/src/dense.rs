@@ -7,19 +7,19 @@
 //! * [`SemiMatrix::square_step`] — one min-plus "path doubling" step
 //!   `A ← A ⊕ A⊗A` (Algorithm 4.3 step ii(1)).
 //!
-//! Both are **cache-blocked** (see DESIGN.md §8): `floyd_warshall` runs an
-//! order-preserving k-tiled schedule (full-matrix sweeps drop from `n` to
-//! `n / TILE`), and `square_step` multiplies against a packed transpose of
-//! `A` so the inner loop is two contiguous streams, double-buffered into a
-//! persistent scratch owned by the matrix (no per-call `clone()`).
+//! `floyd_warshall` runs an order-preserving k-tiled schedule (full-matrix
+//! sweeps drop from `n` to `n / TILE`); `square_step` runs the relax form
+//! (`ikj`), double-buffered into a persistent scratch owned by the matrix
+//! (no per-call `clone()`), and prunes later steps of a doubling sequence
+//! with per-row-tile change flags. See DESIGN.md §8.
 //!
-//! The blocking is *not* the textbook three-phase blocked FW: that variant
+//! The tiling is *not* the textbook three-phase blocked FW: that variant
 //! closes panels before outer tiles, which re-associates path-weight sums
 //! and under `f64` min-plus can change result bits. Instead every cell here
 //! sees exactly the naive kernel's candidate sequence (`k` ascending, same
 //! operands, same `0̄` skip, `combine(old, cand)` with `old` first), so
-//! blocked and naive outputs are **bit-identical at every thread count** —
-//! the retained [`SemiMatrix::floyd_warshall_naive`] /
+//! production and naive outputs are **bit-identical at every thread
+//! count** — the retained [`SemiMatrix::floyd_warshall_naive`] /
 //! [`SemiMatrix::square_step_naive`] reference kernels and the testkit
 //! differential suite enforce this.
 //!
@@ -30,13 +30,12 @@
 //! **absorbing cycle** (negative cycle under the tropical semiring) hooks
 //! into the paper's comment (i) negative-cycle detection.
 //!
-//! On top of the scalar kernels sits a third implementation tier: the
-//! [`simd`] submodule vectorizes the shared relax primitive with runtime-
-//! detected AVX2/AVX-512F for the `f64` semirings that advertise a
-//! [`LaneAlgebra`], and [`select_kernel`] / the [`MinPlusKernel`] trait
-//! let callers (alg4.1/4.3/4.4 via `NodeWorkspace`) bind the dispatch
-//! decision once per preprocess instead of once per call. The SIMD tier is
-//! bit-identical to the scalar tiers by construction — see DESIGN.md §13.
+//! Both production kernels bottom out in one relax primitive,
+//! `dst[j] ← combine(dst[j], extend(dik, src[j]))` over a row segment. It
+//! dispatches to the [`simd`] submodule (runtime-detected AVX2/AVX-512F)
+//! for the `f64` semirings that advertise a [`LaneAlgebra`], and to a
+//! scalar loop otherwise; the vector relax is bit-identical to the scalar
+//! one by construction — see DESIGN.md §13.
 
 pub mod simd;
 
@@ -46,60 +45,21 @@ use rayon::prelude::*;
 use simd::SimdLevel;
 use std::any::TypeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// Edge length of the `k`-tile used by the blocked Floyd–Warshall (default
-/// for `SPSEP_TILE`) and the row-tile granularity of `square_step` change
-/// flags.
+/// Edge length of the Floyd–Warshall `k`-tile and row-tile granularity of
+/// the `square_step` change flags.
 pub const TILE: usize = 32;
-/// Largest accepted `SPSEP_TILE`: bounds the stack-allocated pivot latch
-/// of the FW outer phase.
-pub const MAX_TILE: usize = 128;
-/// Rows per parallel task in the blocked FW outer phase: coarse enough to
+/// Rows per parallel task in the FW outer phase: coarse enough to
 /// amortize scheduling, fine enough to load-balance.
 const FW_ROWCHUNK: usize = 8;
-/// Column-block width of the FW outer phase (default for
-/// `SPSEP_FW_JBLOCK`): with pivots outermost, one `FW_ROWCHUNK × FW_JBLOCK`
-/// row block (8 KiB of `f64`) plus one panel segment (1 KiB) stay
-/// L1-resident across all of a tile's pivots.
+/// Column-block width of the FW outer phase: with pivots outermost, one
+/// `FW_ROWCHUNK × FW_JBLOCK` row block (8 KiB of `f64`) plus one panel
+/// segment (1 KiB) stay L1-resident across all of a tile's pivots.
 const FW_JBLOCK: usize = 128;
-/// Largest accepted `SPSEP_FW_JBLOCK`.
-const MAX_JBLOCK: usize = 4096;
 /// Minimum order before `floyd_warshall` fans rows out to the pool.
 const PAR_FW_MIN_N: usize = 128;
 /// Minimum order before `square_step` fans row-tiles out to the pool.
 const PAR_SQ_MIN_N: usize = 64;
-
-/// Parse a tile-size environment value: accepted iff it is an integer in
-/// `1..=max` (pure, so the validation is unit-testable).
-pub(crate) fn parse_tile_spec(raw: &str, max: usize) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(v) if (1..=max).contains(&v) => Some(v),
-        _ => None,
-    }
-}
-
-/// Read a validated tile size from the environment, falling back to the
-/// compiled-in default on absent or out-of-range values (a library must
-/// not panic on untrusted environment; E16 documents the tunables).
-fn env_tile(name: &str, default: usize, max: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| parse_tile_spec(&v, max))
-        .unwrap_or(default)
-}
-
-/// `SPSEP_TILE` (validated `1..=128`, default [`TILE`]), read once.
-fn fw_tile() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_tile("SPSEP_TILE", TILE, MAX_TILE))
-}
-
-/// `SPSEP_FW_JBLOCK` (validated `1..=4096`, default 128), read once.
-fn fw_jblock() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_tile("SPSEP_FW_JBLOCK", FW_JBLOCK, MAX_JBLOCK))
-}
 
 /// Which relax implementation a kernel invocation uses. Resolved once at
 /// kernel entry ([`auto_sel`]), then threaded through the inner loops so
@@ -114,9 +74,9 @@ pub(crate) enum RelaxSel {
     Simd(LaneAlgebra, SimdLevel),
 }
 
-/// The relax tier [`SemiMatrix::floyd_warshall`] / [`SemiMatrix::square_step`]
-/// will auto-select for semiring `S` on this host (environment overrides
-/// included).
+/// The relax primitive [`SemiMatrix::floyd_warshall`] /
+/// [`SemiMatrix::square_step`] will dispatch to for semiring `S` on this
+/// host.
 fn auto_sel<S: Semiring>() -> RelaxSel {
     if TypeId::of::<S::W>() == TypeId::of::<f64>() {
         if let (Some(alg), Some(level)) = (S::lane_algebra(), simd::detect()) {
@@ -126,9 +86,8 @@ fn auto_sel<S: Semiring>() -> RelaxSel {
     RelaxSel::Scalar
 }
 
-/// True when the auto-dispatched kernels will run vectorized for `S` —
-/// the E21 bench uses this to report honest speedups (a scalar-fallback
-/// host measures 1.0×, not a fake win).
+/// True when the dispatched kernels will run vectorized for `S` — the E21
+/// bench uses this to label what its candidate actually measured.
 pub fn simd_active<S: Semiring>() -> bool {
     matches!(auto_sel::<S>(), RelaxSel::Simd(..))
 }
@@ -157,9 +116,9 @@ pub struct KernelOutcome {
 
 /// A dense `n × n` matrix of semiring weights, row-major.
 ///
-/// Owns persistent scratch buffers (double-buffer target, packed
-/// transpose, per-row-tile change flags) so repeated kernel calls on the
-/// same matrix allocate nothing in steady state. `Clone` copies only the
+/// Owns persistent scratch buffers (double-buffer target, per-row-tile
+/// change flags) so repeated kernel calls on the same matrix allocate
+/// nothing in steady state. `Clone` copies only the
 /// payload; the clone starts with empty scratch.
 ///
 /// Payload and scratch live in 64-byte-aligned [`AlignedVec`] storage
@@ -174,8 +133,6 @@ pub struct SemiMatrix<S: Semiring> {
     /// Double-buffer target for `square_step` / panel snapshots for
     /// `floyd_warshall`. Contents are meaningless between calls.
     scratch: AlignedVec<S::W>,
-    /// Packed transpose of `data` built by `square_step`.
-    transpose: AlignedVec<S::W>,
     /// Per-row-tile change flags from the *last* `square_step` (empty =
     /// unknown). Lets the next `square_step` of a doubling sequence skip
     /// candidate `k` ranges that provably cannot improve anything.
@@ -189,7 +146,6 @@ impl<S: Semiring> Clone for SemiMatrix<S> {
             n: self.n,
             data: self.data.clone(),
             scratch: AlignedVec::new(),
-            transpose: AlignedVec::new(),
             tile_changed: self.tile_changed.clone(),
             _marker: std::marker::PhantomData,
         }
@@ -197,8 +153,8 @@ impl<S: Semiring> Clone for SemiMatrix<S> {
 }
 
 /// `dst[j] ← combine(dst[j], extend(dik, src[j]))` over a block; returns
-/// whether any entry changed. Shared by the naive and blocked kernels so
-/// their per-cell operation is literally the same code.
+/// whether any entry changed. Shared by the naive and production kernels
+/// so their per-cell operation is literally the same code.
 #[inline]
 fn relax_block<S: Semiring>(dst: &mut [S::W], dik: S::W, src: &[S::W]) -> bool {
     let mut any = false;
@@ -230,7 +186,6 @@ impl<S: Semiring> SemiMatrix<S> {
             n,
             data: AlignedVec::from_slice(&data),
             scratch: AlignedVec::new(),
-            transpose: AlignedVec::new(),
             tile_changed: Vec::new(),
             _marker: std::marker::PhantomData,
         }
@@ -244,7 +199,6 @@ impl<S: Semiring> SemiMatrix<S> {
             n,
             data,
             scratch: AlignedVec::new(),
-            transpose: AlignedVec::new(),
             tile_changed: Vec::new(),
             _marker: std::marker::PhantomData,
         }
@@ -308,45 +262,35 @@ impl<S: Semiring> SemiMatrix<S> {
     /// Bytes held by the payload and scratch buffers (capacity, not len) —
     /// feeds the workspace peak-memory accounting.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<S::W>()
-            * (self.data.capacity() + self.scratch.capacity() + self.transpose.capacity())
+        std::mem::size_of::<S::W>() * (self.data.capacity() + self.scratch.capacity())
             + self.tile_changed.capacity()
     }
 
     /// In-place Floyd–Warshall. Diagonal should start at `1̄` (use
     /// [`SemiMatrix::identity`] + `relax` of the edges).
     ///
-    /// Cache-blocked over `k`-tiles of [`TILE`] (tunable via `SPSEP_TILE` /
-    /// `SPSEP_FW_JBLOCK`): for each tile the tile's own rows are closed
-    /// sequentially (snapshotting each row `k` at its pre-step state into a
-    /// panel), then all other rows apply the whole tile in one parallel
-    /// sweep, reading their `d(i,k)` pivots in `k` order exactly as the
-    /// naive kernel would. Per-cell candidate order is identical to
-    /// [`SemiMatrix::floyd_warshall_naive`], so the result is bit-identical
-    /// at every thread count; the win is `n/TILE` full-matrix sweeps
-    /// instead of `n`, plus an L1-blocked inner loop.
+    /// Cache-blocked over `k`-tiles of [`TILE`]: for each tile the tile's
+    /// own rows are closed sequentially (snapshotting each row `k` at its
+    /// pre-step state into a panel), then all other rows apply the whole
+    /// tile in one parallel sweep, reading their `d(i,k)` pivots in `k`
+    /// order exactly as the naive kernel would. Per-cell candidate order is
+    /// identical to [`SemiMatrix::floyd_warshall_naive`], so the result is
+    /// bit-identical at every thread count; the win is `n/TILE` full-matrix
+    /// sweeps instead of `n`, plus an L1-blocked inner loop.
     ///
-    /// The relax primitive auto-dispatches to the [`simd`] tier when the
-    /// semiring and CPU allow it (see [`simd_active`]); use
-    /// [`SemiMatrix::floyd_warshall_blocked`] to force the scalar tier.
+    /// The relax primitive dispatches to the [`simd`] module when the
+    /// semiring and CPU allow it (see [`simd_active`]).
     pub fn floyd_warshall(&mut self) -> KernelOutcome {
-        self.floyd_warshall_impl(auto_sel::<S>(), fw_tile(), fw_jblock())
+        self.floyd_warshall_impl(auto_sel::<S>())
     }
 
-    /// [`SemiMatrix::floyd_warshall`] with the relax primitive pinned to
-    /// the blocked *scalar* tier — the E21 bench baseline, and the
-    /// guaranteed-portable path.
-    pub fn floyd_warshall_blocked(&mut self) -> KernelOutcome {
-        self.floyd_warshall_impl(RelaxSel::Scalar, fw_tile(), fw_jblock())
-    }
-
-    fn floyd_warshall_impl(&mut self, sel: RelaxSel, tile_w: usize, jblock: usize) -> KernelOutcome {
+    fn floyd_warshall_impl(&mut self, sel: RelaxSel) -> KernelOutcome {
         let n = self.n;
         if n == 0 {
             return KernelOutcome::default();
         }
         self.tile_changed.clear();
-        let tile = tile_w.clamp(1, MAX_TILE).min(n);
+        let tile = TILE.min(n);
         let mut panel = std::mem::take(&mut self.scratch);
         panel.clear();
         panel.resize(tile * n, S::zero());
@@ -392,7 +336,7 @@ impl<S: Semiring> SemiMatrix<S> {
             // L1-sized blocks.
             let outer_chunk = |ci: usize, chunk: &mut [S::W]| -> (u64, bool) {
                 let base_row = ci * FW_ROWCHUNK;
-                let mut diks = [[S::zero(); MAX_TILE]; FW_ROWCHUNK];
+                let mut diks = [[S::zero(); TILE]; FW_ROWCHUNK];
                 let mut o = 0u64;
                 let mut ch = false;
                 for (ri, row) in chunk.chunks_mut(n).enumerate() {
@@ -418,7 +362,7 @@ impl<S: Semiring> SemiMatrix<S> {
                 }
                 let mut jb0 = 0usize;
                 while jb0 < n {
-                    let jb1 = (jb0 + jblock).min(n);
+                    let jb1 = (jb0 + FW_JBLOCK).min(n);
                     // Split the block around the tile's columns (already
                     // done in pass A). Pivots run *outside* the row loop
                     // so each panel segment is read once per chunk rather
@@ -482,8 +426,8 @@ impl<S: Semiring> SemiMatrix<S> {
         }
     }
 
-    /// The pre-blocking Floyd–Warshall, retained as the bit-identity
-    /// reference and the bench baseline (it keeps the seed's per-`k`
+    /// The untiled Floyd–Warshall, retained as the bit-identity reference
+    /// and the bench baseline (it keeps the seed's per-`k`
     /// `row_k` copy so the measured speedup is against the real former
     /// kernel, with accounting made honest).
     pub fn floyd_warshall_naive(&mut self) -> KernelOutcome {
@@ -530,156 +474,33 @@ impl<S: Semiring> SemiMatrix<S> {
     /// changed (Algorithm 4.3's iteration can stop early when no node
     /// changes).
     ///
-    /// The product reads a packed transpose of `A` so both inner streams
-    /// are contiguous, and writes into the persistent double-buffer
-    /// scratch (no full-matrix `clone`). Change is tracked per row-tile of
-    /// [`TILE`] rows; inside a doubling sequence, rows whose tile did not
-    /// change last step only need to rescan candidate `k` ranges from
-    /// tiles that *did* change — for a selective semiring every skipped
-    /// candidate was already folded into the current entry with identical
-    /// bits, so the pruned step stays bit-identical to the naive one (see
-    /// DESIGN.md §8 for the argument).
+    /// Relax form (`ikj`) rather than dot-product form (`ijk`): the inner
+    /// loop is one row sweep `out[i, ·] ← combine(out[i, ·], extend(a[i,k],
+    /// a[k, ·]))` of the dispatched relax primitive, written into the
+    /// persistent double-buffer scratch (no full-matrix `clone`). Change is
+    /// tracked per row-tile of [`TILE`] rows; inside a doubling sequence,
+    /// rows whose tile did not change last step only need to rescan
+    /// candidate `k` ranges from tiles that *did* change — for a selective
+    /// semiring every skipped candidate was already folded into the current
+    /// entry with identical bits, so the pruned step stays bit-identical to
+    /// [`SemiMatrix::square_step_naive`] (see DESIGN.md §8) while doing
+    /// less work.
     ///
-    /// Auto-dispatches between the blocked scalar implementation and the
-    /// [`simd`] relax-form implementation (see [`simd_active`]); both are
-    /// bit-identical to [`SemiMatrix::square_step_naive`], including the
-    /// `ops` count and the per-tile change flags.
+    /// Bit-identity argument for the loop order: `out[i, ·]` starts as a
+    /// copy of `a[i, ·]`, and candidates arrive per cell in exactly the
+    /// naive order (`k` ascending, same `0̄` skips, current value first in
+    /// `combine`) — the interchange only changes *which cells sit between*
+    /// two consecutive candidates of a cell, never a cell's own sequence.
+    /// The per-row change flag is a final-vs-initial `!=` sweep — the same
+    /// comparison the naive kernel does — rather than accumulated per
+    /// relax, because a cell can leave and re-enter its original bits (e.g.
+    /// `5 → NaN → 5` via an `∞ + (−∞)` candidate) and the naive kernel
+    /// reports that as unchanged. `ops` is `n` per scanned non-`0̄` pivot,
+    /// which on an unpruned step is exactly the naive total.
     pub fn square_step(&mut self) -> KernelOutcome {
-        match auto_sel::<S>() {
-            RelaxSel::Scalar => self.square_step_blocked(),
-            sel => self.square_step_relax(sel),
-        }
+        self.square_step_relax(auto_sel::<S>())
     }
 
-    /// [`SemiMatrix::square_step`] pinned to the blocked *scalar* tier
-    /// (packed-transpose dot-product form) — the E21 bench baseline, and
-    /// the guaranteed-portable path.
-    pub fn square_step_blocked(&mut self) -> KernelOutcome {
-        let n = self.n;
-        if n == 0 {
-            return KernelOutcome::default();
-        }
-        let n_tiles = n.div_ceil(TILE);
-
-        let mut tbuf = std::mem::take(&mut self.transpose);
-        tbuf.clear();
-        tbuf.resize(n * n, S::zero());
-        pack_transpose::<S>(&self.data, &mut tbuf, n);
-
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        out.resize(n * n, S::zero());
-
-        let hint: Option<&[bool]> = if S::is_selective() && self.tile_changed.len() == n_tiles {
-            Some(&self.tile_changed)
-        } else {
-            None
-        };
-        let new_flags: Vec<AtomicBool> = (0..n_tiles).map(|_| AtomicBool::new(false)).collect();
-        let ops = AtomicU64::new(0);
-        let data = &self.data;
-        let tb = &tbuf;
-
-        let process_tile = |ti: usize, rows: &mut [S::W]| {
-            let full = hint.is_none_or(|h| h[ti]);
-            let mut o = 0u64;
-            let mut ch = false;
-            for (ri, out_row) in rows.chunks_mut(n).enumerate() {
-                let i = ti * TILE + ri;
-                let a = &data[i * n..(i + 1) * n];
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    let tj = &tb[j * n..(j + 1) * n];
-                    let mut acc = a[j];
-                    if full {
-                        for (&ik, &tk) in a.iter().zip(tj) {
-                            if S::is_zero(ik) {
-                                continue;
-                            }
-                            o += 1;
-                            acc = S::combine(acc, S::extend(ik, tk));
-                        }
-                    } else if let Some(h) = hint {
-                        // Only `k` in row-tiles that changed last step can
-                        // contribute a candidate not already folded in.
-                        for (kt, &chg) in h.iter().enumerate() {
-                            if !chg {
-                                continue;
-                            }
-                            let k0 = kt * TILE;
-                            let k1 = (k0 + TILE).min(n);
-                            for (&ik, &tk) in a[k0..k1].iter().zip(&tj[k0..k1]) {
-                                if S::is_zero(ik) {
-                                    continue;
-                                }
-                                o += 1;
-                                acc = S::combine(acc, S::extend(ik, tk));
-                            }
-                        }
-                    }
-                    // Write-if-changed, like the naive kernel: when the
-                    // fold lands numerically equal to the input (`!=` is
-                    // false — e.g. `-0.0` folded through a NaN back to
-                    // `+0.0`), the *input* bits survive.
-                    if acc != a[j] {
-                        ch = true;
-                        *slot = acc;
-                    } else {
-                        *slot = a[j];
-                    }
-                }
-            }
-            ops.fetch_add(o, Ordering::Relaxed);
-            if ch {
-                new_flags[ti].store(true, Ordering::Relaxed);
-            }
-        };
-
-        if n >= PAR_SQ_MIN_N {
-            out.par_chunks_mut(n * TILE)
-                .enumerate()
-                .for_each(|(ti, rows)| process_tile(ti, rows));
-        } else {
-            for (ti, rows) in out.chunks_mut(n * TILE).enumerate() {
-                process_tile(ti, rows);
-            }
-        }
-
-        let old = std::mem::replace(&mut self.data, out);
-        self.scratch = old;
-        self.transpose = tbuf;
-        self.tile_changed.clear();
-        self.tile_changed
-            .extend(new_flags.iter().map(|f| f.load(Ordering::Relaxed)));
-        let changed = self.tile_changed.iter().any(|&c| c);
-
-        let absorbing = (0..n).any(|i| S::better(self.get(i, i), S::one()));
-        KernelOutcome {
-            ops: ops.into_inner(),
-            absorbing_cycle: absorbing,
-            changed,
-        }
-    }
-
-    /// The vectorized `square_step`: relax form (`ikj`) instead of
-    /// dot-product form (`ijk`), so the inner loop is one [`simd`] row
-    /// sweep `out[i, ·] ← combine(out[i, ·], extend(a[i,k], a[k, ·]))`.
-    ///
-    /// Bit-identity argument: `out[i, ·]` starts as a copy of `a[i, ·]`,
-    /// and candidates arrive per cell in exactly the naive order (`k`
-    /// ascending, same `0̄` skips, current value first in `combine`) — the
-    /// loop interchange only changes *which cells sit between* two
-    /// consecutive candidates of a cell, never a cell's own sequence. The
-    /// per-row change flag is computed as a final-vs-initial `!=` sweep —
-    /// the same comparison the naive kernel does — rather than accumulated
-    /// per relax, because a cell can leave and re-enter its original bits
-    /// (e.g. `5 → NaN → 5` via an `∞ + (−∞)` candidate) and the naive
-    /// kernel reports that as unchanged. `ops` accounting is `n` per
-    /// scanned non-`0̄` pivot, which is exactly the naive/blocked total.
-    /// The tile-hint pruning applies unchanged: it restricts the scanned
-    /// `k` set identically in both loop orders.
-    ///
-    /// No packed transpose is needed (the relax form reads `a[k, ·]` rows
-    /// directly), which removes the `O(n²)` pack from the critical path.
     fn square_step_relax(&mut self, sel: RelaxSel) -> KernelOutcome {
         let n = self.n;
         if n == 0 {
@@ -777,8 +598,8 @@ impl<S: Semiring> SemiMatrix<S> {
         }
     }
 
-    /// The pre-blocking `square_step`, retained as the bit-identity
-    /// reference and bench baseline: full-matrix `clone`, strided
+    /// The unpruned `square_step`, retained as the bit-identity reference
+    /// and bench baseline: full-matrix `clone`, strided
     /// `old[k*n + j]` reads, no change-flag pruning; accounting made
     /// honest.
     pub fn square_step_naive(&mut self) -> KernelOutcome {
@@ -854,111 +675,10 @@ impl<S: Semiring> SemiMatrix<S> {
     }
 }
 
-/// A bound pair of dense kernels (`floyd_warshall` + `square_step`).
-///
-/// The node-processing algorithms (alg4.1/4.3/4.4) resolve the kernel
-/// tier **once per preprocess** through [`select_kernel`] and then call
-/// through this trait, instead of re-running feature detection and
-/// semiring dispatch on every matrix call. All implementations are
-/// bit-identical (the differential suites enforce it); they differ only
-/// in speed.
-pub trait MinPlusKernel<S: Semiring>: Send + Sync + std::fmt::Debug {
-    /// Stable identifier for logs, traces and bench records.
-    fn name(&self) -> &'static str;
-    /// Run all-pairs closure on `m` (see [`SemiMatrix::floyd_warshall`]).
-    fn floyd_warshall(&self, m: &mut SemiMatrix<S>) -> KernelOutcome;
-    /// Run one doubling step on `m` (see [`SemiMatrix::square_step`]).
-    fn square_step(&self, m: &mut SemiMatrix<S>) -> KernelOutcome;
-}
-
-/// The pre-blocking reference kernels ([`SemiMatrix::floyd_warshall_naive`]
-/// / [`SemiMatrix::square_step_naive`]) — the bit-identity oracle.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct NaiveKernel;
-
-/// The cache-blocked scalar kernels — the portable production tier and
-/// the E21 baseline.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct BlockedKernel;
-
-/// The auto-dispatching kernels: vectorized relax when the semiring and
-/// CPU allow it, otherwise identical to [`BlockedKernel`].
-#[derive(Copy, Clone, Debug, Default)]
-pub struct SimdKernel;
-
-impl<S: Semiring> MinPlusKernel<S> for NaiveKernel {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-    fn floyd_warshall(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.floyd_warshall_naive()
-    }
-    fn square_step(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.square_step_naive()
-    }
-}
-
-impl<S: Semiring> MinPlusKernel<S> for BlockedKernel {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-    fn floyd_warshall(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.floyd_warshall_blocked()
-    }
-    fn square_step(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.square_step_blocked()
-    }
-}
-
-impl<S: Semiring> MinPlusKernel<S> for SimdKernel {
-    fn name(&self) -> &'static str {
-        match simd::detect() {
-            Some(SimdLevel::Avx512) => "simd-avx512",
-            Some(SimdLevel::Avx2) => "simd-avx2",
-            None => "simd-fallback-blocked",
-        }
-    }
-    fn floyd_warshall(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.floyd_warshall()
-    }
-    fn square_step(&self, m: &mut SemiMatrix<S>) -> KernelOutcome {
-        m.square_step()
-    }
-}
-
-/// The kernel tier the current host/semiring combination should use:
-/// [`SimdKernel`] when [`simd_active`] holds, else [`BlockedKernel`].
-/// Kernels are ZSTs, so the returned reference is `'static` for free and
-/// can be stowed in long-lived workspaces.
-pub fn select_kernel<S: Semiring>() -> &'static dyn MinPlusKernel<S> {
-    if simd_active::<S>() {
-        &SimdKernel
-    } else {
-        &BlockedKernel
-    }
-}
-
-/// Pack `dst[j*n + i] = src[i*n + j]` with square blocking so both sides
-/// stay cache-resident.
-fn pack_transpose<S: Semiring>(src: &[S::W], dst: &mut [S::W], n: usize) {
-    for i0 in (0..n).step_by(TILE) {
-        let i1 = (i0 + TILE).min(n);
-        for j0 in (0..n).step_by(TILE) {
-            let j1 = (j0 + TILE).min(n);
-            for i in i0..i1 {
-                let row = &src[i * n..(i + 1) * n];
-                for j in j0..j1 {
-                    dst[j * n + i] = row[j];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{Boolean, Tropical};
+    use crate::semiring::{Boolean, Tropical, TropicalInt};
 
     fn sample() -> SemiMatrix<Tropical> {
         // 0 →(1) 1 →(2) 2, 0 →(10) 2, 2 →(1) 3.
@@ -1043,14 +763,14 @@ mod tests {
     }
 
     #[test]
-    fn blocked_fw_bit_identical_to_naive_across_tile_boundaries() {
+    fn fw_bit_identical_to_naive_across_tile_boundaries() {
         for n in [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
             let base = random_matrix(n, 42 + n as u64);
-            let mut blocked = base.clone();
+            let mut prod = base.clone();
             let mut naive = base.clone();
-            let ob = blocked.floyd_warshall();
+            let ob = prod.floyd_warshall();
             let on = naive.floyd_warshall_naive();
-            assert_bits_equal(&blocked, &naive, &format!("fw n={n}"));
+            assert_bits_equal(&prod, &naive, &format!("fw n={n}"));
             assert_eq!(ob.ops, on.ops, "fw ops n={n}");
             assert_eq!(ob.changed, on.changed, "fw changed n={n}");
             assert_eq!(ob.absorbing_cycle, on.absorbing_cycle, "fw cycle n={n}");
@@ -1058,14 +778,14 @@ mod tests {
     }
 
     #[test]
-    fn blocked_square_bit_identical_to_naive_across_tile_boundaries() {
+    fn square_bit_identical_to_naive_across_tile_boundaries() {
         for n in [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
             let base = random_matrix(n, 7 + n as u64);
-            let mut blocked = base.clone();
+            let mut prod = base.clone();
             let mut naive = base.clone();
-            let ob = blocked.square_step();
+            let ob = prod.square_step();
             let on = naive.square_step_naive();
-            assert_bits_equal(&blocked, &naive, &format!("square n={n}"));
+            assert_bits_equal(&prod, &naive, &format!("square n={n}"));
             assert_eq!(ob.ops, on.ops, "square ops n={n}");
             assert_eq!(ob.changed, on.changed, "square changed n={n}");
         }
@@ -1073,27 +793,27 @@ mod tests {
 
     #[test]
     fn pruned_doubling_sequence_matches_naive_sequence() {
-        // Drive both kernels to the closure fixpoint; the blocked side
+        // Drive both kernels to the closure fixpoint; the production side
         // prunes later steps with per-tile change flags, which must not
         // change a single bit.
         for n in [TILE + 3, 2 * TILE, 3 * TILE + 5] {
             let base = random_matrix(n, 1000 + n as u64);
-            let mut blocked = base.clone();
+            let mut prod = base.clone();
             let mut naive = base.clone();
             loop {
-                let ob = blocked.square_step();
+                let ob = prod.square_step();
                 let on = naive.square_step_naive();
                 assert_eq!(ob.changed, on.changed, "changed diverged at n={n}");
                 if !on.changed {
                     break;
                 }
             }
-            assert_bits_equal(&blocked, &naive, &format!("doubling sequence n={n}"));
+            assert_bits_equal(&prod, &naive, &format!("doubling sequence n={n}"));
         }
     }
 
     #[test]
-    fn blocked_kernels_bit_identical_across_thread_counts() {
+    fn kernels_bit_identical_across_thread_counts() {
         // Past PAR_FW_MIN_N so the pool actually fans out.
         let n = 5 * TILE;
         let base = random_matrix(n, 99);
@@ -1196,104 +916,81 @@ mod tests {
         assert_eq!(m.get(0, 1), 3.0);
     }
 
+    /// The scalar relax path must match naive bits, ops and flags even on
+    /// hosts where the public entry points dispatch to SIMD (the
+    /// `--no-default-features` build runs it through the public API).
     #[test]
-    fn parse_tile_spec_validates_range() {
-        assert_eq!(parse_tile_spec("32", MAX_TILE), Some(32));
-        assert_eq!(parse_tile_spec(" 1 ", MAX_TILE), Some(1));
-        assert_eq!(parse_tile_spec("128", MAX_TILE), Some(128));
-        assert_eq!(parse_tile_spec("0", MAX_TILE), None);
-        assert_eq!(parse_tile_spec("129", MAX_TILE), None);
-        assert_eq!(parse_tile_spec("-4", MAX_TILE), None);
-        assert_eq!(parse_tile_spec("fast", MAX_TILE), None);
-        assert_eq!(parse_tile_spec("", MAX_TILE), None);
-        assert_eq!(parse_tile_spec("4096", MAX_JBLOCK), Some(4096));
-        assert_eq!(parse_tile_spec("4097", MAX_JBLOCK), None);
-    }
-
-    /// The auto-dispatching kernels (SIMD on this host, if available) and
-    /// the forced-scalar blocked kernels must both match naive bits, ops,
-    /// and flags — the scalar tier no longer gets implicit coverage from
-    /// `floyd_warshall()`/`square_step()` now that those auto-dispatch.
-    #[test]
-    fn forced_scalar_tier_still_bit_identical_to_naive() {
+    fn scalar_relax_path_bit_identical_to_naive() {
         for n in [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5] {
             let base = random_matrix(n, 300 + n as u64);
-            let mut blocked = base.clone();
+            let mut scalar = base.clone();
             let mut naive = base.clone();
-            let ob = blocked.floyd_warshall_blocked();
+            let os = scalar.floyd_warshall_impl(RelaxSel::Scalar);
             let on = naive.floyd_warshall_naive();
-            assert_bits_equal(&blocked, &naive, &format!("scalar fw n={n}"));
-            assert_eq!(ob, on, "scalar fw outcome n={n}");
-            let mut blocked = base.clone();
+            assert_bits_equal(&scalar, &naive, &format!("scalar fw n={n}"));
+            assert_eq!(os, on, "scalar fw outcome n={n}");
+            let mut scalar = base.clone();
             let mut naive = base.clone();
-            let ob = blocked.square_step_blocked();
+            let os = scalar.square_step_relax(RelaxSel::Scalar);
             let on = naive.square_step_naive();
-            assert_bits_equal(&blocked, &naive, &format!("scalar square n={n}"));
-            assert_eq!(ob.ops, on.ops, "scalar square ops n={n}");
-            assert_eq!(ob.changed, on.changed, "scalar square changed n={n}");
+            assert_bits_equal(&scalar, &naive, &format!("scalar square n={n}"));
+            assert_eq!(os, on, "scalar square outcome n={n}");
         }
     }
 
-    /// Every legal `SPSEP_TILE`/`SPSEP_FW_JBLOCK` combination is just a
-    /// different schedule of the same per-cell candidate sequence, so the
-    /// output bits and op counts must not move. (Driven through the
-    /// internal entry point: the env vars themselves are read once per
-    /// process, which makes in-process env tests racy by design.)
-    #[test]
-    fn fw_bit_identical_across_tile_and_jblock_settings() {
-        let n = 3 * TILE + 5;
-        let base = random_matrix(n, 77);
-        let mut reference = base.clone();
-        let or = reference.floyd_warshall_naive();
-        for (tile, jblock) in [(1, 1), (5, 17), (32, 128), (MAX_TILE, 16), (MAX_TILE, MAX_JBLOCK)]
-        {
-            for sel in [RelaxSel::Scalar, auto_sel::<Tropical>()] {
-                let mut m = base.clone();
-                let om = m.floyd_warshall_impl(sel, tile, jblock);
-                assert_bits_equal(
-                    &reference,
-                    &m,
-                    &format!("fw tile={tile} jblock={jblock} sel={sel:?}"),
-                );
-                assert_eq!(om.ops, or.ops, "ops tile={tile} jblock={jblock} sel={sel:?}");
-                assert_eq!(om.changed, or.changed);
+    /// Banded pseudo-random DAG over any semiring: arcs `i → i+1` plus
+    /// some of `i → i+2, i+3`. Shortest paths are long, so closures need
+    /// several doubling steps, and row tiles near the sink settle first —
+    /// which is what the tile-hint pruning skips.
+    fn banded_matrix<S: Semiring>(n: usize, seed: u64, weight: fn(u64) -> S::W) -> SemiMatrix<S> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+        let mut m = SemiMatrix::<S>::identity(n);
+        for i in 0..n {
+            for j in i + 1..(i + 4).min(n) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if j == i + 1 || !state.is_multiple_of(3) {
+                    m.set(i, j, weight(state >> 32));
+                }
             }
         }
+        m
     }
 
+    /// Full pruned doubling sequences on the non-`f64` semirings (which
+    /// never take the SIMD path) against the naive reference, step by
+    /// step: same bits and `changed`; the same `ops` on the unpruned first
+    /// step, never more afterwards, and strictly fewer over the sequence.
     #[test]
-    fn select_kernel_routes_by_semiring_and_host() {
-        use crate::semiring::{Boolean as B, TropicalInt};
-        // f64 + lane algebra: SIMD when the host has it, blocked otherwise.
-        let k = select_kernel::<Tropical>();
-        if simd_active::<Tropical>() {
-            assert!(k.name().starts_with("simd-avx"), "got {}", k.name());
-        } else {
-            assert_eq!(k.name(), "blocked");
+    fn pruned_doubling_sequences_match_naive_on_int_and_boolean() {
+        fn check<S: Semiring>(tag: &str, weight: fn(u64) -> S::W) {
+            assert!(!simd_active::<S>(), "{tag} has no lane algebra");
+            let (mut ops_relax, mut ops_naive) = (0, 0);
+            for n in [TILE + 3, 2 * TILE, 3 * TILE + 5, 130] {
+                let mut relax = banded_matrix::<S>(n, 500 + n as u64, weight);
+                let mut naive = relax.clone();
+                for step in 0.. {
+                    let or = relax.square_step();
+                    let on = naive.square_step_naive();
+                    assert_eq!(relax.data(), naive.data(), "{tag} n={n} step {step}");
+                    assert_eq!(or.changed, on.changed, "{tag} n={n} step {step}");
+                    assert_eq!(or.absorbing_cycle, on.absorbing_cycle);
+                    if step == 0 {
+                        assert_eq!(or.ops, on.ops, "{tag} n={n}: unpruned step");
+                    }
+                    assert!(or.ops <= on.ops, "{tag} n={n} step {step}");
+                    ops_relax += or.ops;
+                    ops_naive += on.ops;
+                    if !on.changed {
+                        break;
+                    }
+                }
+            }
+            assert!(ops_relax < ops_naive, "{tag}: nothing was pruned");
         }
-        // Non-f64 / no lane algebra: never SIMD.
-        assert!(!simd_active::<TropicalInt>());
-        assert!(!simd_active::<B>());
-        assert_eq!(select_kernel::<TropicalInt>().name(), "blocked");
-
-        // All three kernel tiers agree bit for bit through the trait.
-        let base = random_matrix(2 * TILE + 3, 4242);
-        let kernels: [&dyn MinPlusKernel<Tropical>; 3] =
-            [&NaiveKernel, &BlockedKernel, &SimdKernel];
-        let mut closed: Vec<SemiMatrix<Tropical>> = Vec::new();
-        let mut squared: Vec<SemiMatrix<Tropical>> = Vec::new();
-        for k in kernels {
-            let mut m = base.clone();
-            k.floyd_warshall(&mut m);
-            closed.push(m);
-            let mut m = base.clone();
-            k.square_step(&mut m);
-            squared.push(m);
-        }
-        for i in 1..3 {
-            assert_bits_equal(&closed[0], &closed[i], &format!("trait fw kernel {i}"));
-            assert_bits_equal(&squared[0], &squared[i], &format!("trait square kernel {i}"));
-        }
+        check::<TropicalInt>("tropical-int", |r| (r % 97) as i64 + 1);
+        check::<Boolean>("boolean", |_| true);
     }
 
     /// Adversarial weights (±∞ so `extend` can manufacture NaN, signed

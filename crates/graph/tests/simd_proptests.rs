@@ -1,8 +1,7 @@
-//! Property tests for the SIMD kernel tier: the auto-dispatched dense
-//! kernels (AVX-512F / AVX2 on capable x86-64 hosts, the blocked scalar
-//! fallback everywhere else — including `--no-default-features` builds,
-//! where this whole suite degenerates to scalar-vs-naive and must still
-//! hold) are required to be **bit-identical** to the naive reference on
+//! Property tests for the dispatched dense kernels: `floyd_warshall` and
+//! `square_step` (vector relax on AVX-512F / AVX2 x86-64 hosts, the scalar
+//! relax everywhere else — including `--no-default-features` builds, where
+//! this whole suite runs the scalar path and must still hold) are required to be **bit-identical** to the naive reference on
 //! adversarial matrices: NaN-free inputs that still contain `±INFINITY`
 //! (so `extend` can manufacture NaN via `∞ + (−∞)` mid-kernel), signed
 //! zeros, denormals, negative weights, and orders that are not multiples
@@ -51,6 +50,22 @@ fn assert_bits<S: Semiring<W = f64>>(a: &SemiMatrix<S>, b: &SemiMatrix<S>, tag: 
     }
 }
 
+/// True if folding `m ⊗ m` would meet a NaN: a NaN entry, or a candidate
+/// `extend(m[i,k], m[k,j])` with non-`0̄` `m[i,k]` that is NaN (e.g.
+/// `∞ + (−∞)` under min-plus, `∞ · 0` under reliability).
+fn meets_nan<S: Semiring<W = f64>>(m: &SemiMatrix<S>) -> bool {
+    let n = m.n();
+    if m.data().iter().any(|w| w.is_nan()) {
+        return true;
+    }
+    (0..n).any(|i| {
+        (0..n).any(|k| {
+            let a = m.get(i, k);
+            !S::is_zero(a) && m.row(k).iter().any(|&b| S::extend(a, b).is_nan())
+        })
+    })
+}
+
 /// One semiring's full check: auto FW vs naive FW, auto square vs naive
 /// square, and a pruned doubling sequence vs the naive sequence — bits,
 /// ops and change flags all equal.
@@ -78,17 +93,14 @@ fn check_semiring<S: Semiring<W = f64>>(n: usize, seed: u64, tag: &str) {
     // 1. Per step: from any matrix with *no* hint state, one auto step is
     //    bit-identical to one naive step (bits, ops, change flag) — even
     //    when mid-kernel NaN appears. Checked on fresh clones each round.
-    // 2. Per sequence: the auto and forced-scalar blocked kernels evolve
-    //    identical hint state, so the pruned sequences must agree exactly
-    //    at every round.
-    //
-    // The naive kernel never prunes, so the *pruned sequence* is only
-    // naive-equivalent while the fold is monotone; a mid-iteration NaN
-    // (e.g. `∞ · 0` under reliability) voids selectivity and the
-    // sequences may legitimately part ways — hence the fresh-clone form
-    // of contract 1 rather than a naive sequence.
+    // 2. Per sequence: the pruned sequence matches the naive sequence
+    //    (bits and change flags; `ops` differ by the pruned work) for as
+    //    long as the fold is monotone. A NaN candidate (e.g. `∞ · 0` under
+    //    reliability) voids selectivity, after which the sequences may
+    //    legitimately part ways — contract 1 still holds at every round.
     let mut auto_sq = base.clone();
-    let mut blocked_sq = base.clone();
+    let mut naive_sq = base.clone();
+    let mut monotone = true;
     for round in 0..8 {
         let mut fresh_auto = SemiMatrix::<S>::from_flat(n, auto_sq.data().to_vec());
         let mut fresh_naive = SemiMatrix::<S>::from_flat(n, auto_sq.data().to_vec());
@@ -109,22 +121,24 @@ fn check_semiring<S: Semiring<W = f64>>(n: usize, seed: u64, tag: &str) {
             round
         );
 
+        monotone &= !meets_nan(&auto_sq);
         let oa = auto_sq.square_step();
-        let ob = blocked_sq.square_step_blocked();
-        assert_bits(
-            &auto_sq,
-            &blocked_sq,
-            &format!("{tag} pruned square n={n} round={round}"),
-        );
-        prop_assert_eq!(oa.ops, ob.ops, "{} pruned ops n={} r={}", tag, n, round);
-        prop_assert_eq!(
-            oa.changed,
-            ob.changed,
-            "{} pruned changed n={} r={}",
-            tag,
-            n,
-            round
-        );
+        let on = naive_sq.square_step_naive();
+        if monotone {
+            assert_bits(
+                &auto_sq,
+                &naive_sq,
+                &format!("{tag} pruned square n={n} round={round}"),
+            );
+            prop_assert_eq!(
+                oa.changed,
+                on.changed,
+                "{} pruned changed n={} r={}",
+                tag,
+                n,
+                round
+            );
+        }
         if !oa.changed {
             break;
         }
@@ -156,7 +170,7 @@ proptest! {
     }
 
     /// Non-f64 semirings must keep working untouched through the same
-    /// entry points (they dispatch to the scalar tier by construction).
+    /// entry points (they dispatch to the scalar relax by construction).
     #[test]
     fn scalar_only_semirings_unaffected_by_dispatch(
         n in 1usize..24, seed in any::<u64>()

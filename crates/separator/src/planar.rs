@@ -1,40 +1,17 @@
-//! Planar cycle separators on triangulations with an explicit embedding.
+//! Planar separator decompositions and the planar instance generators.
 //!
 //! The paper's planar results (Section 6) assume a `k^{1/2}`-separator
 //! decomposition computed by Gazit–Miller; the classical mechanism behind
-//! all such algorithms is Lipton–Tarjan's **fundamental-cycle separator**:
-//! given a planar *triangulation* and any spanning tree `T`, some
-//! non-tree edge closes a cycle `C` (tree path + the edge) whose interior
-//! and exterior each hold at most a constant fraction of the vertices,
-//! and `|C| ≤ 2·height(T) + 1`.
+//! all such algorithms is Lipton–Tarjan's: BFS levels around the median
+//! level are thin, and where a band between two levels stays large, some
+//! non-tree edge of a spanning tree `T` closes a cycle `C` (tree path +
+//! the edge) of length `|C| ≤ 2·height(T) + 1` that splits it.
 //!
-//! This module implements exactly that mechanism on triangulations whose
-//! embedding is given as a face list:
-//!
-//! * [`triangulated_grid`] — a planar mesh family (grid + diagonals) with
-//!   its faces, where BFS height is `O(√n)` so fundamental cycles are
-//!   `O(√n)` separators without the Lipton–Tarjan level-shrinking phase
-//!   (documented simplification; the recursion's progress guard covers
-//!   adversarial trees);
-//! * [`planar_cycle_tree`] — the recursive decomposition: per region,
-//!   pick the balance-optimal fundamental cycle (candidates scored by
-//!   flood-filling faces on each side), split into interior/exterior,
-//!   and recurse on the sub-regions with their own face lists.
-//!
-//! Region bookkeeping keeps the decomposition *exact*: edges of the
-//! induced subgraph that are not covered by a region's faces (chords of
-//! an ancestor cycle routed through the other region) are repaired into
-//! the separator, so [`crate::SepTree::validate`] holds unconditionally.
-//!
-//! Three additions make the planar machinery usable on **imported**
-//! graphs, which carry no embedding:
-//!
-//! * [`planar_level_tree`] — an embedding-free BFS-level +
-//!   fundamental-cycle separator in the Lipton–Tarjan shape: two thin
-//!   BFS levels bracket the median level, and when the middle band
-//!   stays too large, a balance-optimal fundamental cycle of a BFS
-//!   spanning tree splits it (sides computed by connected components,
-//!   no face list needed);
+//! * [`planar_level_tree`] — that mechanism without an embedding: two thin
+//!   BFS levels bracket the median level, and when the middle band stays
+//!   too large, a balance-optimal fundamental cycle of a BFS spanning tree
+//!   splits it (sides computed by connected components, so no face list
+//!   is needed and imported graphs qualify);
 //! * [`certify_near_planar`] — the necessary-condition certificate
 //!   (`m ≤ 3n − 6` and 5-degeneracy) that lets the CLI auto-select the
 //!   planar builder for road-network inputs;
@@ -44,13 +21,14 @@
 //!   the E23 bench, so the c·√n claim is checked by exactly one piece
 //!   of math.
 //!
-//! [`road_network`] generates the committed road-style instance (a
-//! jittered triangulated lattice with travel-time weights) together
-//! with its face list, so the embedding-dependent and embedding-free
-//! heuristics can be measured head-to-head on the same graph.
+//! Two generators produce planar instances together with their embedding
+//! as a face list ([`Triangulation`]): [`triangulated_grid`], a mesh
+//! family (grid + diagonals) with `Θ(√n)` BFS height, and
+//! [`road_network`], the committed road-style instance (a jittered
+//! triangulated lattice with travel-time weights).
 
 use crate::engine::{decompose, RecursionLimits, Separation, SubProblem};
-use crate::tree::{SepNode, SepTree};
+use crate::tree::SepTree;
 use rand::Rng;
 use spsep_graph::generators::Coords;
 use spsep_graph::{DiGraph, Edge};
@@ -150,361 +128,6 @@ pub fn triangulated_grid(
     (DiGraph::from_edges(n, edges), tri)
 }
 
-/// A sub-region of the triangulation during recursion: its vertices
-/// (global ids, sorted) and the faces lying inside it.
-struct Region {
-    vertices: Vec<u32>,
-    faces: Vec<[u32; 3]>,
-}
-
-/// How many candidate fundamental cycles to score per region.
-const CYCLE_CANDIDATES: usize = 48;
-
-/// Build a separator decomposition of a triangulation by recursive
-/// fundamental-cycle splitting. `global_adj` must be the skeleton
-/// adjacency of the *whole* graph (used for exact chord repair);
-/// `leaf_size` as in [`crate::RecursionLimits`].
-pub fn planar_cycle_tree(
-    global_adj: &[Vec<u32>],
-    tri: &Triangulation,
-    leaf_size: usize,
-) -> SepTree {
-    let n = global_adj.len();
-    assert_eq!(n, tri.n);
-    let root = Region {
-        vertices: (0..n as u32).collect(),
-        faces: tri.faces.clone(),
-    };
-    let mut nodes: Vec<SepNode> = Vec::new();
-    let mut rng_state = 0x243f6a8885a308d3u64; // deterministic xorshift seed
-    recurse(
-        global_adj,
-        root,
-        None,
-        0,
-        leaf_size.max(4),
-        &mut nodes,
-        &mut rng_state,
-    );
-    SepTree::assemble(n, nodes)
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn recurse(
-    global_adj: &[Vec<u32>],
-    region: Region,
-    parent: Option<u32>,
-    level: u32,
-    leaf_size: usize,
-    nodes: &mut Vec<SepNode>,
-    rng_state: &mut u64,
-) -> u32 {
-    let id = nodes.len() as u32;
-    nodes.push(SepNode {
-        vertices: region.vertices.clone(),
-        separator: Vec::new(),
-        boundary: Vec::new(),
-        children: None,
-        parent,
-        level,
-    });
-    if region.vertices.len() <= leaf_size {
-        return id;
-    }
-    match split_region(global_adj, &region, rng_state) {
-        None => id, // no usable cycle: leaf (progress guard)
-        Some((separator, inside, outside)) => {
-            if inside.vertices.len() >= region.vertices.len()
-                || outside.vertices.len() >= region.vertices.len()
-            {
-                return id; // no progress: leaf
-            }
-            nodes[id as usize].separator = separator;
-            let c1 = recurse(
-                global_adj,
-                inside,
-                Some(id),
-                level + 1,
-                leaf_size,
-                nodes,
-                rng_state,
-            );
-            let c2 = recurse(
-                global_adj,
-                outside,
-                Some(id),
-                level + 1,
-                leaf_size,
-                nodes,
-                rng_state,
-            );
-            nodes[id as usize].children = Some((c1, c2));
-            id
-        }
-    }
-}
-
-/// Find a balanced fundamental-cycle split of `region`. Returns
-/// `(separator, inside region, outside region)`, all vertex sets sorted,
-/// with the separator included in both children.
-#[allow(clippy::needless_range_loop)] // index loops mutate several parallel side arrays
-fn split_region(
-    global_adj: &[Vec<u32>],
-    region: &Region,
-    rng_state: &mut u64,
-) -> Option<(Vec<u32>, Region, Region)> {
-    let nv = region.vertices.len();
-    // Local ids.
-    let mut local: HashMap<u32, u32> = HashMap::with_capacity(nv);
-    for (i, &v) in region.vertices.iter().enumerate() {
-        local.insert(v, i as u32);
-    }
-    // Region adjacency from faces.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nv];
-    let add_edge = |a: u32, b: u32, adj: &mut Vec<Vec<u32>>| {
-        adj[a as usize].push(b);
-        adj[b as usize].push(a);
-    };
-    let mut face_of_edge: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    for (fi, f) in region.faces.iter().enumerate() {
-        for i in 0..3 {
-            let a = local[&f[i]];
-            let b = local[&f[(i + 1) % 3]];
-            let key = (a.min(b), a.max(b));
-            let faces = face_of_edge.entry(key).or_default();
-            if faces.is_empty() {
-                add_edge(a, b, &mut adj);
-            }
-            faces.push(fi as u32);
-        }
-    }
-    for l in &mut adj {
-        l.sort_unstable();
-        l.dedup();
-    }
-    // BFS spanning tree from a pseudo-random root.
-    let root = (xorshift(rng_state) % nv as u64) as u32;
-    let mut parent = vec![u32::MAX; nv];
-    let mut depth = vec![u32::MAX; nv];
-    let mut queue = std::collections::VecDeque::new();
-    depth[root as usize] = 0;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        for &u in &adj[v as usize] {
-            if depth[u as usize] == u32::MAX {
-                depth[u as usize] = depth[v as usize] + 1;
-                parent[u as usize] = v;
-                queue.push_back(u);
-            }
-        }
-    }
-    if depth.contains(&u32::MAX) {
-        // The face complex is disconnected (dropped faces can hide
-        // connectivity that the *induced* subgraph still has); fall back
-        // to a split that is exact for the induced adjacency.
-        return induced_fallback(global_adj, region);
-    }
-    // Candidate non-tree edges that are interior (two adjacent faces).
-    let mut candidates: Vec<(u32, u32)> = face_of_edge
-        .iter()
-        .filter(|&(&(a, b), faces)| {
-            faces.len() == 2
-                && parent[a as usize] != b
-                && parent[b as usize] != a
-        })
-        .map(|(&k, _)| k)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    // HashMap iteration order is randomized per instance; both the
-    // xorshift sampling below and first-best tie-breaking depend on the
-    // candidate order, so sort to keep the decomposition a pure
-    // function of its inputs (the repo-wide determinism contract).
-    candidates.sort_unstable();
-    // Score a sample of candidates by flood-fill balance.
-    let sample: Vec<(u32, u32)> = if candidates.len() <= CYCLE_CANDIDATES {
-        candidates
-    } else {
-        let mut s = Vec::with_capacity(CYCLE_CANDIDATES);
-        for _ in 0..CYCLE_CANDIDATES {
-            s.push(candidates[(xorshift(rng_state) % candidates.len() as u64) as usize]);
-        }
-        s
-    };
-    let mut best: Option<(usize, Vec<u32>, Vec<bool>)> = None; // (max side, cycle, inside faces mark)
-    for &(a, b) in &sample {
-        let cycle = fundamental_cycle(a, b, &parent, &depth);
-        let (inside_faces, in_count, out_count) =
-            flood_sides(region, &local, &cycle, &face_of_edge, a, b)?;
-        let score = in_count.max(out_count);
-        if best.as_ref().is_none_or(|(s, _, _)| score < *s) {
-            best = Some((score, cycle, inside_faces));
-        }
-    }
-    let (_, cycle, inside_faces) = best?;
-    // Vertex sides from face sides.
-    let mut on_cycle = vec![false; nv];
-    for &v in &cycle {
-        on_cycle[v as usize] = true;
-    }
-    let mut side_in = vec![false; nv];
-    let mut side_out = vec![false; nv];
-    for (fi, f) in region.faces.iter().enumerate() {
-        let inside = inside_faces[fi];
-        for &gv in f {
-            let v = local[&gv] as usize;
-            if !on_cycle[v] {
-                if inside {
-                    side_in[v] = true;
-                } else {
-                    side_out[v] = true;
-                }
-            }
-        }
-    }
-    // A non-cycle vertex claimed by both sides means the cycle was not a
-    // closed curve here — should be impossible; guard anyway.
-    let mut separator_local: Vec<u32> = cycle.clone();
-    for v in 0..nv {
-        if side_in[v] && side_out[v] {
-            separator_local.push(v as u32);
-            side_in[v] = false;
-            side_out[v] = false;
-        }
-    }
-    // Faceless vertices (all their faces were dropped by an ancestor's
-    // filtering) have no side yet; assign them by global connectivity,
-    // propagating until stable. A vertex touching both sides joins the
-    // separator.
-    loop {
-        let mut changed = false;
-        for v in 0..nv {
-            if side_in[v] || side_out[v] || on_cycle[v]
-                || separator_local.contains(&(v as u32))
-            {
-                continue;
-            }
-            let gv = region.vertices[v];
-            let (mut touch_in, mut touch_out) = (false, false);
-            for &gu in &global_adj[gv as usize] {
-                if let Some(&u) = local.get(&gu) {
-                    touch_in |= side_in[u as usize];
-                    touch_out |= side_out[u as usize];
-                }
-            }
-            match (touch_in, touch_out) {
-                (true, true) => {
-                    separator_local.push(v as u32);
-                    changed = true;
-                }
-                (true, false) => {
-                    side_in[v] = true;
-                    changed = true;
-                }
-                (false, true) => {
-                    side_out[v] = true;
-                    changed = true;
-                }
-                (false, false) => {}
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Still-undecided vertices connect only to cycle/separator/nothing;
-    // park them inside (no crossing edges possible by construction).
-    for v in 0..nv {
-        if !side_in[v] && !side_out[v] && !on_cycle[v]
-            && !separator_local.contains(&(v as u32))
-        {
-            side_in[v] = true;
-        }
-    }
-    // Exact chord repair: induced edges (global) between the two sides
-    // promote one endpoint into the separator.
-    let in_sep: std::collections::HashSet<u32> = separator_local.iter().copied().collect();
-    let mut extra_sep: Vec<u32> = Vec::new();
-    for v in 0..nv {
-        if !side_in[v] {
-            continue;
-        }
-        let gv = region.vertices[v];
-        for &gu in &global_adj[gv as usize] {
-            if let Some(&u) = local.get(&gu) {
-                if side_out[u as usize] && !in_sep.contains(&(v as u32)) {
-                    extra_sep.push(v as u32);
-                    side_in[v] = false;
-                    break;
-                }
-            }
-        }
-    }
-    separator_local.extend(extra_sep);
-    separator_local.sort_unstable();
-    separator_local.dedup();
-
-    // Assemble regions: child faces are the faces on each side; the
-    // separator joins both children (include-all policy).
-    let sep_set: std::collections::HashSet<u32> = separator_local.iter().copied().collect();
-    let mut inside_vertices: Vec<u32> = Vec::new();
-    let mut outside_vertices: Vec<u32> = Vec::new();
-    for v in 0..nv {
-        if sep_set.contains(&(v as u32)) {
-            inside_vertices.push(region.vertices[v]);
-            outside_vertices.push(region.vertices[v]);
-        } else if side_in[v] {
-            inside_vertices.push(region.vertices[v]);
-        } else if side_out[v] {
-            outside_vertices.push(region.vertices[v]);
-        } else {
-            // Isolated from faces (degenerate); park it inside.
-            inside_vertices.push(region.vertices[v]);
-        }
-    }
-    inside_vertices.sort_unstable();
-    outside_vertices.sort_unstable();
-    let in_v: std::collections::HashSet<u32> = inside_vertices.iter().copied().collect();
-    let out_v: std::collections::HashSet<u32> = outside_vertices.iter().copied().collect();
-    let mut inside_faces_list = Vec::new();
-    let mut outside_faces_list = Vec::new();
-    for (fi, f) in region.faces.iter().enumerate() {
-        if inside_faces[fi] && f.iter().all(|gv| in_v.contains(gv)) {
-            inside_faces_list.push(*f);
-        } else if !inside_faces[fi] && f.iter().all(|gv| out_v.contains(gv)) {
-            outside_faces_list.push(*f);
-        }
-    }
-    let separator_global: Vec<u32> = {
-        let mut s: Vec<u32> = separator_local
-            .iter()
-            .map(|&v| region.vertices[v as usize])
-            .collect();
-        s.sort_unstable();
-        s
-    };
-    Some((
-        separator_global,
-        Region {
-            vertices: inside_vertices,
-            faces: inside_faces_list,
-        },
-        Region {
-            vertices: outside_vertices,
-            faces: outside_faces_list,
-        },
-    ))
-}
-
 /// Tree path `a → lca → b` as a vertex list (local ids), i.e. the
 /// fundamental cycle of non-tree edge `(a, b)` minus the closing edge.
 fn fundamental_cycle(a: u32, b: u32, parent: &[u32], depth: &[u32]) -> Vec<u32> {
@@ -530,137 +153,14 @@ fn fundamental_cycle(a: u32, b: u32, parent: &[u32], depth: &[u32]) -> Vec<u32> 
     left
 }
 
-/// Flood-fill the faces on the two sides of the cycle closed by
-/// `(a, b)`. Returns `(inside_mark, inside_count, outside_count)` over
-/// faces, where "inside" is the side seeded by one face adjacent to the
-/// closing edge. `None` if the closing edge has no two adjacent faces.
-fn flood_sides(
-    region: &Region,
-    local: &HashMap<u32, u32>,
-    cycle: &[u32],
-    face_of_edge: &HashMap<(u32, u32), Vec<u32>>,
-    a: u32,
-    b: u32,
-) -> Option<(Vec<bool>, usize, usize)> {
-    let nf = region.faces.len();
-    // Cycle edges (local, normalized) block the flood.
-    let mut blocked: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    for w in cycle.windows(2) {
-        blocked.insert((w[0].min(w[1]), w[0].max(w[1])));
-    }
-    blocked.insert((a.min(b), a.max(b)));
-    let seed_faces = face_of_edge.get(&(a.min(b), a.max(b)))?;
-    if seed_faces.len() != 2 {
-        return None;
-    }
-    let mut mark = vec![false; nf];
-    let mut visited = vec![false; nf];
-    let mut stack = vec![seed_faces[0]];
-    visited[seed_faces[0] as usize] = true;
-    mark[seed_faces[0] as usize] = true;
-    while let Some(fi) = stack.pop() {
-        let f = region.faces[fi as usize];
-        for i in 0..3 {
-            let x = local[&f[i]];
-            let y = local[&f[(i + 1) % 3]];
-            let key = (x.min(y), x.max(y));
-            if blocked.contains(&key) {
-                continue;
-            }
-            if let Some(nbrs) = face_of_edge.get(&key) {
-                for &nf2 in nbrs {
-                    if !visited[nf2 as usize] {
-                        visited[nf2 as usize] = true;
-                        mark[nf2 as usize] = true;
-                        stack.push(nf2);
-                    }
-                }
-            }
-        }
-    }
-    let inside = mark.iter().filter(|&&m| m).count();
-    Some((mark, inside, nf - inside))
-}
-
-/// Fallback split that is exact for the **induced** subgraph on the
-/// region's vertices: component packing when disconnected, otherwise a
-/// BFS-order median cut with the crossing-edge endpoints promoted into
-/// the separator (cf. `builders::cut_from_partition`).
-fn induced_fallback(
-    global_adj: &[Vec<u32>],
-    region: &Region,
-) -> Option<(Vec<u32>, Region, Region)> {
-    let nv = region.vertices.len();
-    let mut local: HashMap<u32, u32> = HashMap::with_capacity(nv);
-    for (i, &v) in region.vertices.iter().enumerate() {
-        local.insert(v, i as u32);
-    }
-    let adj: Vec<Vec<u32>> = region
-        .vertices
-        .iter()
-        .map(|&gv| {
-            global_adj[gv as usize]
-                .iter()
-                .filter_map(|gu| local.get(gu).copied())
-                .collect()
-        })
-        .collect();
-    let sep = match crate::builders::components_split(&adj) {
-        Some((side1, side2)) => crate::engine::Separation {
-            separator: Vec::new(),
-            side1,
-            side2,
-        },
-        None => {
-            // Connected: median cut in BFS order from vertex 0.
-            let active = vec![true; nv];
-            let dist = spsep_graph::traversal::bfs_undirected_masked(&adj, 0, &active);
-            let mut order: Vec<u32> = (0..nv as u32).collect();
-            order.sort_by_key(|&v| dist[v as usize]);
-            let mut in_a = vec![false; nv];
-            for &v in &order[..nv / 2] {
-                in_a[v as usize] = true;
-            }
-            crate::builders::cut_from_partition(&adj, &in_a)
-        }
-    };
-    if sep.side1.is_empty() && sep.side2.is_empty() {
-        return None;
-    }
-    let to_global = |list: &[u32]| -> Vec<u32> {
-        let mut v: Vec<u32> = list.iter().map(|&l| region.vertices[l as usize]).collect();
-        v.sort_unstable();
-        v
-    };
-    let separator = to_global(&sep.separator);
-    let mut v1 = to_global(&sep.side1);
-    let mut v2 = to_global(&sep.side2);
-    v1.extend_from_slice(&separator);
-    v2.extend_from_slice(&separator);
-    v1.sort_unstable();
-    v2.sort_unstable();
-    let s1: std::collections::HashSet<u32> = v1.iter().copied().collect();
-    let s2: std::collections::HashSet<u32> = v2.iter().copied().collect();
-    let mut f1 = Vec::new();
-    let mut f2 = Vec::new();
-    for f in &region.faces {
-        if f.iter().all(|v| s1.contains(v)) {
-            f1.push(*f);
-        } else if f.iter().all(|v| s2.contains(v)) {
-            f2.push(*f);
-        }
-    }
-    Some((
-        separator,
-        Region {
-            vertices: v1,
-            faces: f1,
-        },
-        Region {
-            vertices: v2,
-            faces: f2,
-        },
-    ))
+/// One xorshift64 step: the deterministic stream behind [`road_network`].
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
 }
 
 // ---------------------------------------------------------------------------
@@ -1308,24 +808,11 @@ mod tests {
     }
 
     #[test]
-    fn cycle_tree_validates_on_meshes() {
-        for (w, h, seed) in [(8usize, 8usize, 2u64), (12, 7, 3), (5, 20, 4)] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (g, tri) = triangulated_grid(w, h, &mut rng);
-            let adj = g.undirected_skeleton();
-            let tree = planar_cycle_tree(&adj, &tri, 4);
-            tree.validate(&adj)
-                .unwrap_or_else(|e| panic!("{w}x{h}: {e}"));
-            assert!(tree.height() >= 2);
-        }
-    }
-
-    #[test]
-    fn separators_are_sqrt_sized() {
+    fn level_separators_are_sqrt_sized_on_meshes() {
         let mut rng = StdRng::seed_from_u64(5);
-        let (g, tri) = triangulated_grid(16, 16, &mut rng);
+        let (g, _) = triangulated_grid(16, 16, &mut rng);
         let adj = g.undirected_skeleton();
-        let tree = planar_cycle_tree(&adj, &tri, 4);
+        let tree = planar_level_tree(&adj, RecursionLimits::default());
         tree.validate(&adj).unwrap();
         for t in tree.nodes() {
             let bound = 6.0 * (t.vertices.len() as f64).sqrt() + 8.0;
@@ -1459,25 +946,6 @@ mod tests {
             assert_eq!(a.vertices, b.vertices);
             assert_eq!(a.separator, b.separator);
         }
-    }
-
-    #[test]
-    fn level_tree_beats_cycle_tree_on_roads() {
-        // The acceptance claim in miniature: on a road instance the
-        // embedding-free level+cycle builder must produce a strictly
-        // smaller max separator than the old fundamental-cycle one.
-        let (g, _, tri) = road_network(24, 20, 5);
-        let adj = g.undirected_skeleton();
-        let old = planar_cycle_tree(&adj, &tri, 4);
-        let new = planar_level_tree(&adj, RecursionLimits::default());
-        let qo = separator_quality(&old);
-        let qn = separator_quality(&new);
-        assert!(
-            qn.max_separator < qo.max_separator,
-            "level {} vs cycle {}",
-            qn.max_separator,
-            qo.max_separator
-        );
     }
 
     #[test]

@@ -41,7 +41,10 @@ const SEED: u64 = 7;
 /// Pinned FNV-1a digests of the probe distance rows, one per
 /// family × algorithm. Recorded from the flat-CSR implementation at
 /// `N_TARGET = 240`, `SEED = 7`; every thread count must reproduce
-/// them bit for bit.
+/// them bit for bit. The `planar/*` rows depend on the tree
+/// `Family::PlanarMesh` builds (`planar_level_tree`); a different
+/// planar builder means a different `E⁺` and new (Dijkstra-checked)
+/// digests.
 const DISTANCE_DIGESTS: &[(&str, u64)] = &[
     ("grid2d/LeavesUp", 0x861a414061fb7b20),
     ("grid2d/PathDoubling", 0x59102dd3378fa9a4),
@@ -55,9 +58,9 @@ const DISTANCE_DIGESTS: &[(&str, u64)] = &[
     ("ktree/LeavesUp", 0xe8eefbde0bac3864),
     ("ktree/PathDoubling", 0xe8eefbde0bac3864),
     ("ktree/SharedDoubling", 0xe8eefbde0bac3864),
-    ("planar/LeavesUp", 0x7e7367c980f655b5),
-    ("planar/PathDoubling", 0xdb56a42acf5a6506),
-    ("planar/SharedDoubling", 0x0f2cacbdba33f7ec),
+    ("planar/LeavesUp", 0xf6332d529ae80ce8),
+    ("planar/PathDoubling", 0xf6332d529ae80ce8),
+    ("planar/SharedDoubling", 0x697143306ba907e3),
 ];
 
 /// Pinned digests of the full transitive-closure bit matrices.

@@ -128,10 +128,10 @@ fn reachability_closure_is_identical_across_thread_counts() {
 #[test]
 fn blocked_kernels_match_naive_on_every_family_and_thread_count() {
     // The dense-kernel contract behind all of the above: the k-tiled
-    // `floyd_warshall` and the transpose-packed `square_step` must equal
-    // their naive references bit for bit on real family matrices — at
-    // every thread count (the blocked outer phase fans out over row
-    // chunks; the naive kernels over single rows). n is chosen past the
+    // `floyd_warshall` and the relax-form `square_step` must equal their
+    // naive references bit for bit on real family matrices — at every
+    // thread count (the tiled outer phase fans out over row chunks; the
+    // naive kernels over single rows). n is chosen past the
     // parallel thresholds so the pool genuinely engages.
     use spsep_graph::dense::SemiMatrix;
     const KERNEL_N: usize = 160;

@@ -14,7 +14,7 @@
 //! strictly nested.
 //!
 //! The workspace has no serde, so the validator is a hand-rolled minimal
-//! JSON parser (mirroring the `BENCH_kernels.json` pattern): enough to
+//! JSON parser (mirroring the `BENCH_*.json` validators): enough to
 //! re-read what the exporter writes and to reject structural drift in
 //! CI.
 //!

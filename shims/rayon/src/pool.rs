@@ -28,7 +28,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Lock acquisition that shrugs off poisoning: a panicked thread must
@@ -171,12 +171,18 @@ pub(crate) fn pool() -> &'static Pool {
             reclaimed_handles: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
         }));
+        // Return only once every worker is running (and so carries its
+        // thread name): callers that census the pool's threads right
+        // after first use must see all of them.
+        let started = Arc::new(Barrier::new(capacity));
         for i in 0..capacity - 1 {
+            let started = Arc::clone(&started);
             std::thread::Builder::new()
                 .name(format!("spsep-worker-{i}"))
-                .spawn(move || worker_loop(pool, i))
+                .spawn(move || worker_loop(pool, i, &started))
                 .expect("failed to spawn spsep worker thread");
         }
+        started.wait();
         pool
     })
 }
@@ -230,7 +236,8 @@ pub fn with_max_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-fn worker_loop(pool: &'static Pool, index: usize) {
+fn worker_loop(pool: &'static Pool, index: usize, started: &Barrier) {
+    started.wait();
     let telemetry = &pool.worker_telemetry[index];
     loop {
         let task = {
