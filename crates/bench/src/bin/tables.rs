@@ -12,8 +12,6 @@
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e19 --serve-out BENCH_serve.json         # daemon chaos-load bench
 //! cargo run --release -p spsep-bench --bin tables -- \
-//!     e20 --mmap-out BENCH_mmap.json           # v1-decode vs v2-mmap load
-//! cargo run --release -p spsep-bench --bin tables -- \
 //!     e21 --simd-out BENCH_simd.json           # dense kernels vs naive
 //! cargo run --release -p spsep-bench --bin tables -- \
 //!     e22 --obs-out BENCH_obs.json             # telemetry overhead
@@ -22,34 +20,32 @@
 //! ```
 //!
 //! Experiment ids: e1 e2 e3 e4 e5 fig1 fig2 e8 e9 e10 e11 e12 e13 e14
-//! e15 e17 e18 e19 e20 e21 e22 e23 check (E16 is retired)
+//! e15 e17 e18 e19 e21 e22 e23 check (E16 and E20 are retired)
 //! (see DESIGN.md §4 for the paper-artifact mapping).
 //!
 //! Flags: `--phases-out <path>` writes the `spsep-phase-bench/v1` artifact of E17; `--phases-in
 //! <path>` renders E17 from a committed artifact instead of
 //! re-measuring; `--amortize-out <path>` / `--amortize-in <path>` do the
-//! same for E18's `spsep-amortize/v1` oracle-snapshot benchmark;
+//! same for E18's `spsep-amortize/v2` oracle-snapshot benchmark;
 //! `--serve-out <path>` / `--serve-in <path>` for E19's
-//! `spsep-serve-bench/v1` daemon chaos-load benchmark; `--mmap-out
-//! <path>` / `--mmap-in <path>` for E20's `spsep-mmap-bench/v1`
-//! v1-decode vs v2-mmap load benchmark; `--simd-out
+//! `spsep-serve-bench/v1` daemon chaos-load benchmark; `--simd-out
 //! <path>` / `--simd-in <path>` for E21's `spsep-simd-bench/v2`
 //! production-vs-naive dense kernel benchmark; `--obs-out <path>` / `--obs-in
 //! <path>` for E22's `spsep-obs-bench/v1` telemetry-overhead
 //! benchmark; `--sep-out <path>` / `--sep-in <path>` for E23's
 //! `spsep-sep-bench/v1` road-network separator-quality benchmark;
-//! `--smoke` shrinks E17/E18/E19/E20/E21/E22/E23 to CI-sized
+//! `--smoke` shrinks E17/E18/E19/E21/E22/E23 to CI-sized
 //! instances.
 //!
 //! Unknown experiment ids and flags are reported with the valid set —
 //! never a bare panic.
 
-use spsep_bench::{amortize, experiments, mmap, obs, phases, sep, serve, simd};
+use spsep_bench::{amortize, experiments, obs, phases, sep, serve, simd};
 
 /// Every experiment id `tables` understands, in presentation order.
 const VALID_IDS: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "fig1", "fig2", "e8", "e9", "e10", "e11", "e12", "e13",
-    "e14", "e15", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "check", "all",
+    "e14", "e15", "e17", "e18", "e19", "e21", "e22", "e23", "check", "all",
 ];
 
 fn fail(msg: &str) -> ! {
@@ -57,7 +53,7 @@ fn fail(msg: &str) -> ! {
     eprintln!(
         "usage: tables [ids...] [--smoke] [--phases-out p] [--phases-in p] \
          [--amortize-out p] [--amortize-in p] \
-         [--serve-out p] [--serve-in p] [--mmap-out p] [--mmap-in p] \
+         [--serve-out p] [--serve-in p] \
          [--simd-out p] [--simd-in p] [--obs-out p] [--obs-in p] \
          [--sep-out p] [--sep-in p]\n\
          valid ids: {}",
@@ -91,8 +87,6 @@ fn main() {
     let mut amortize_in: Option<String> = None;
     let mut serve_out: Option<String> = None;
     let mut serve_in: Option<String> = None;
-    let mut mmap_out: Option<String> = None;
-    let mut mmap_in: Option<String> = None;
     let mut simd_out: Option<String> = None;
     let mut simd_in: Option<String> = None;
     let mut obs_out: Option<String> = None;
@@ -110,8 +104,6 @@ fn main() {
             "--amortize-in" => amortize_in = Some(flag_value(&mut it, "--amortize-in")),
             "--serve-out" => serve_out = Some(flag_value(&mut it, "--serve-out")),
             "--serve-in" => serve_in = Some(flag_value(&mut it, "--serve-in")),
-            "--mmap-out" => mmap_out = Some(flag_value(&mut it, "--mmap-out")),
-            "--mmap-in" => mmap_in = Some(flag_value(&mut it, "--mmap-in")),
             "--simd-out" => simd_out = Some(flag_value(&mut it, "--simd-out")),
             "--simd-in" => simd_in = Some(flag_value(&mut it, "--simd-in")),
             "--obs-out" => obs_out = Some(flag_value(&mut it, "--obs-out")),
@@ -252,33 +244,6 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("serve artifact failed validation: {e}")));
             if let Some(path) = &serve_out {
                 write_or_fail(path, &json, "serve artifact");
-                eprintln!("[tables] wrote {path} ({entries} entries)");
-            }
-        }
-    }
-    if want("e20") || mmap_out.is_some() || mmap_in.is_some() {
-        if let Some(path) = &mmap_in {
-            let json = read_or_fail(path, "mmap artifact");
-            let records = mmap::read_mmap_json(&json)
-                .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-            println!(
-                "{hr}\nE20 — snapshot load paths from {path} ({} entries):\n\n{}",
-                records.len(),
-                mmap::render_mmap_table(&records)
-            );
-        } else {
-            let (report, records) = mmap::e20_mmap(smoke);
-            println!("{hr}\n{report}");
-            assert!(
-                records.iter().all(|r| r.bit_identical),
-                "a snapshot-loaded oracle diverged from fresh preprocessing — \
-                 determinism contract broken"
-            );
-            let json = mmap::mmap_json(&records);
-            let entries = mmap::validate_mmap_json(&json)
-                .unwrap_or_else(|e| fail(&format!("mmap artifact failed validation: {e}")));
-            if let Some(path) = &mmap_out {
-                write_or_fail(path, &json, "mmap artifact");
                 eprintln!("[tables] wrote {path} ({entries} entries)");
             }
         }

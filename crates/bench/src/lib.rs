@@ -10,7 +10,6 @@ pub mod experiments;
 pub mod families;
 mod jsonv;
 pub mod loadrep;
-pub mod mmap;
 pub mod obs;
 pub mod phases;
 pub mod sep;

@@ -1,61 +1,26 @@
-//! Persistence: text augmentations and the binary oracle snapshot.
+//! Persistence of text augmentations.
 //!
-//! Two artifacts live here:
+//! `E⁺` is a plain weighted edge set, so a preprocessed instance can be
+//! stored next to its decomposition tree (see `spsep_separator::io`)
+//! and reloaded without re-running Algorithm 4.1/4.3
+//! ([`write_augmentation`] / [`read_augmentation`]):
 //!
-//! 1. **Text augmentations** ([`write_augmentation`] /
-//!    [`read_augmentation`]): `E⁺` is a plain weighted edge set, so a
-//!    preprocessed instance can be stored next to its decomposition
-//!    tree (see `spsep_separator::io`) and reloaded without re-running
-//!    Algorithm 4.1/4.3.
+//! ```text
+//! ep <n> <num_edges> <d_g> <leaf_bound> <raw_pairs>
+//! e <from> <to> <weight>        (0-based, num_edges lines)
+//! ```
 //!
-//!    ```text
-//!    ep <n> <num_edges> <d_g> <leaf_bound> <raw_pairs>
-//!    e <from> <to> <weight>        (0-based, num_edges lines)
-//!    ```
+//! Weights are written with full `f64` round-trip precision. Parsing is
+//! hardened: NaN weights, out-of-range endpoints, and count mismatches
+//! are rejected with line-numbered [`SpsepError::Parse`] errors — never
+//! a panic (`crates/testkit` drives a corruption catalog through it).
 //!
-//!    Weights are written with full `f64` round-trip precision.
-//!
-//! 2. **The `spsep-oracle/v1` binary snapshot** ([`write_snapshot`] /
-//!    [`read_snapshot`]): everything the serving layer
-//!    ([`crate::oracle::Oracle`]) needs to answer queries — the graph,
-//!    the separator tree with its per-node boundary tables, and the
-//!    augmented edge set — in one versioned, checksummed file. This is
-//!    the "prepare once, query many" deployment mode: the expensive
-//!    Sections 3–5 preprocessing runs once (`spsep-cli prepare`) and a
-//!    long-lived server reloads the result in milliseconds
-//!    (`spsep-cli serve`).
-//!
-//!    ```text
-//!    magic  "SPSEPORC" (8 bytes)
-//!    u32    format version (= 1)
-//!    u32    augmentation algorithm (0 = 4.1, 1 = 4.3, 2 = 4.4)
-//!    u32    section count (= 3)
-//!    3 × section:
-//!        tag      4 bytes ("GRPH" | "TREE" | "AUGM", in this order)
-//!        u64      payload length
-//!        u64      FNV-1a 64 checksum of the payload
-//!        payload  (see `spsep_graph::io::graph_to_bytes`,
-//!                  `spsep_separator::io::tree_to_bytes`, and the
-//!                  `AUGM` layout below)
-//!    magic  "SPSEPEND" (8 bytes)
-//!    ```
-//!
-//!    `AUGM` payload: `d_g: u32 · leaf_bound: u64 · raw_pairs: u64 ·
-//!    count: u64 · count × (from: u32, to: u32, weight: f64 bits)`.
-//!
-//! Parsing of both artifacts is hardened: NaN weights, out-of-range
-//! endpoints, count mismatches, truncation at any byte, unknown
-//! versions, and checksum failures are rejected with typed
-//! [`SpsepError::Parse`]/[`SpsepError::Io`] errors — never a panic
-//! (`crates/testkit` drives a corruption catalog through every path).
+//! The binary oracle snapshot lives in [`crate::iov2`].
 
 use crate::augment::{AugmentStats, Augmentation};
-use crate::Algorithm;
-use spsep_graph::bytes::{fnv1a64, ByteReader, ByteWriter};
 use spsep_graph::semiring::Tropical;
-use spsep_graph::{DiGraph, Edge, SpsepError};
-use spsep_separator::SepTree;
-use std::io::{BufRead, Read, Write};
+use spsep_graph::{Edge, SpsepError};
+use std::io::{BufRead, Write};
 
 /// Error from [`read_augmentation`] (alias kept for callers of the
 /// pre-taxonomy API).
@@ -146,216 +111,6 @@ pub fn read_augmentation<R: BufRead>(
     Ok((n, Augmentation { eplus, stats }))
 }
 
-/// File magic of the `spsep-oracle/v1` snapshot format.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPSEPORC";
-/// Trailer magic closing a snapshot (truncation sentinel).
-pub const SNAPSHOT_TRAILER: &[u8; 8] = b"SPSEPEND";
-/// Snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-const SECTION_GRAPH: &[u8; 4] = b"GRPH";
-const SECTION_TREE: &[u8; 4] = b"TREE";
-const SECTION_AUGMENTATION: &[u8; 4] = b"AUGM";
-
-/// A deserialized `spsep-oracle/v1` snapshot: everything needed to
-/// compile a query-ready [`crate::Preprocessed`] (via
-/// [`crate::oracle::Oracle::from_snapshot`]) without re-running the
-/// Sections 3–5 preprocessing.
-#[derive(Debug)]
-pub struct Snapshot {
-    /// The weighted digraph `G`.
-    pub graph: DiGraph<f64>,
-    /// The separator decomposition tree, boundary tables verified.
-    pub tree: SepTree,
-    /// Which `E⁺` construction produced the augmentation.
-    pub algo: Algorithm,
-    /// The shortcut set `E⁺` with its construction statistics.
-    pub augmentation: Augmentation<Tropical>,
-}
-
-fn algo_code(algo: Algorithm) -> u32 {
-    match algo {
-        Algorithm::LeavesUp => 0,
-        Algorithm::PathDoubling => 1,
-        Algorithm::SharedDoubling => 2,
-    }
-}
-
-fn algo_from_code(code: u32) -> Result<Algorithm, SpsepError> {
-    match code {
-        0 => Ok(Algorithm::LeavesUp),
-        1 => Ok(Algorithm::PathDoubling),
-        2 => Ok(Algorithm::SharedDoubling),
-        other => Err(SpsepError::parse(format!(
-            "unknown augmentation algorithm code {other}"
-        ))),
-    }
-}
-
-fn put_section(out: &mut ByteWriter, tag: &[u8; 4], payload: &[u8]) {
-    out.bytes(tag);
-    out.u64(payload.len() as u64);
-    out.u64(fnv1a64(payload));
-    out.bytes(payload);
-}
-
-fn take_section<'a>(r: &mut ByteReader<'a>, tag: &[u8; 4]) -> Result<&'a [u8], SpsepError> {
-    let name = String::from_utf8_lossy(tag).into_owned();
-    let got = r.take(4, "section tag")?;
-    if got != tag {
-        return Err(SpsepError::parse(format!(
-            "expected section '{name}', found '{}'",
-            String::from_utf8_lossy(got)
-        )));
-    }
-    let len = r.count(&format!("'{name}' section length"), 1)?;
-    let declared = r.u64("section checksum")?;
-    let payload = r.take(len, "section payload")?;
-    let actual = fnv1a64(payload);
-    if actual != declared {
-        return Err(SpsepError::parse(format!(
-            "checksum mismatch in section '{name}': \
-             stored {declared:#018x}, computed {actual:#018x}"
-        )));
-    }
-    Ok(payload)
-}
-
-fn augmentation_to_bytes(aug: &Augmentation<Tropical>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(aug.stats.d_g);
-    w.u64(aug.stats.leaf_bound as u64);
-    w.u64(aug.stats.raw_pairs as u64);
-    w.u64(aug.eplus.len() as u64);
-    for e in &aug.eplus {
-        w.u32(e.from);
-        w.u32(e.to);
-        w.f64(e.w);
-    }
-    w.into_inner()
-}
-
-fn augmentation_from_bytes(
-    bytes: &[u8],
-    n: usize,
-) -> Result<Augmentation<Tropical>, SpsepError> {
-    let mut r = ByteReader::new(bytes);
-    let d_g = r.u32("d_g")?;
-    let leaf_bound = r.count("leaf bound", 0)?;
-    let raw_pairs = r.count("raw pair count", 0)?;
-    let count = r.count("shortcut count", 16)?;
-    let mut eplus: Vec<Edge<f64>> = Vec::with_capacity(count);
-    for i in 0..count {
-        let from = r.u32("shortcut source")?;
-        let to = r.u32("shortcut target")?;
-        let w = r.f64("shortcut weight")?;
-        if from as usize >= n || to as usize >= n {
-            return Err(SpsepError::parse(format!(
-                "shortcut #{i} endpoint {from}→{to} out of range 0..{n}"
-            )));
-        }
-        if w.is_nan() {
-            return Err(SpsepError::parse(format!("shortcut #{i} weight is NaN")));
-        }
-        eplus.push(Edge::new(from as usize, to as usize, w));
-    }
-    r.expect_exhausted("augmentation payload")?;
-    let stats = AugmentStats {
-        eplus_edges: eplus.len(),
-        raw_pairs,
-        d_g,
-        leaf_bound,
-    };
-    Ok(Augmentation { eplus, stats })
-}
-
-/// Serialize a prepared instance as an `spsep-oracle/v1` snapshot.
-pub fn snapshot_to_bytes(
-    graph: &DiGraph<f64>,
-    tree: &SepTree,
-    algo: Algorithm,
-    augmentation: &Augmentation<Tropical>,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.bytes(SNAPSHOT_MAGIC);
-    w.u32(SNAPSHOT_VERSION);
-    w.u32(algo_code(algo));
-    w.u32(3);
-    put_section(&mut w, SECTION_GRAPH, &spsep_graph::io::graph_to_bytes(graph));
-    put_section(&mut w, SECTION_TREE, &spsep_separator::io::tree_to_bytes(tree));
-    put_section(&mut w, SECTION_AUGMENTATION, &augmentation_to_bytes(augmentation));
-    w.bytes(SNAPSHOT_TRAILER);
-    w.into_inner()
-}
-
-/// Parse an `spsep-oracle/v1` snapshot from bytes.
-///
-/// Verifies, in order: header magic, format version, the per-section
-/// checksums, each section's internal invariants (including the
-/// per-node boundary tables of the tree section), the trailer magic,
-/// and finally the cross-structure [`crate::validate_instance`]
-/// pre-flight — a loaded snapshot is exactly as trustworthy as a
-/// freshly preprocessed instance.
-pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Snapshot, SpsepError> {
-    let mut r = ByteReader::new(bytes);
-    let magic = r.take(8, "snapshot magic")?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(SpsepError::parse(
-            "bad magic: not an spsep-oracle snapshot".to_string(),
-        ));
-    }
-    let version = r.u32("snapshot version")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SpsepError::parse(format!(
-            "snapshot version {version} unsupported (this build reads v{SNAPSHOT_VERSION})"
-        )));
-    }
-    let algo = algo_from_code(r.u32("algorithm code")?)?;
-    let sections = r.u32("section count")?;
-    if sections != 3 {
-        return Err(SpsepError::parse(format!(
-            "expected 3 sections, header declares {sections}"
-        )));
-    }
-    let graph = spsep_graph::io::graph_from_bytes(take_section(&mut r, SECTION_GRAPH)?)?;
-    let tree = spsep_separator::io::tree_from_bytes(take_section(&mut r, SECTION_TREE)?)?;
-    let augmentation =
-        augmentation_from_bytes(take_section(&mut r, SECTION_AUGMENTATION)?, graph.n())?;
-    let trailer = r.take(8, "snapshot trailer")?;
-    if trailer != SNAPSHOT_TRAILER {
-        return Err(SpsepError::parse(
-            "bad trailer: snapshot is truncated or has trailing sections".to_string(),
-        ));
-    }
-    r.expect_exhausted("snapshot")?;
-    crate::validate_instance(&graph, &tree)?;
-    Ok(Snapshot {
-        graph,
-        tree,
-        algo,
-        augmentation,
-    })
-}
-
-/// Write a snapshot to `out` (see [`snapshot_to_bytes`] for the format).
-pub fn write_snapshot<W: Write>(
-    graph: &DiGraph<f64>,
-    tree: &SepTree,
-    algo: Algorithm,
-    augmentation: &Augmentation<Tropical>,
-    out: &mut W,
-) -> Result<(), SpsepError> {
-    out.write_all(&snapshot_to_bytes(graph, tree, algo, augmentation))?;
-    Ok(())
-}
-
-/// Read a snapshot from `input` (the whole stream is consumed).
-pub fn read_snapshot<R: Read>(mut input: R) -> Result<Snapshot, SpsepError> {
-    let mut bytes = Vec::new();
-    input.read_to_end(&mut bytes)?;
-    snapshot_from_bytes(&bytes)
-}
-
 fn field<T: std::str::FromStr>(
     f: Option<&str>,
     lineno: usize,
@@ -407,78 +162,6 @@ mod tests {
         assert!(read_augmentation("ep 2 1 0 0 0\nq 0 1 1.0\n".as_bytes()).is_err()); // record
         let ok = read_augmentation("ep 2 1 1 1 4\ne 0 1 2.5\n".as_bytes()).unwrap();
         assert_eq!(ok.1.eplus[0].w, 2.5);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_exact() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
-        let (g, _) = spsep_graph::generators::grid(&[8, 7], &mut rng);
-        let tree = builders::grid_tree(&[8, 7], RecursionLimits::default());
-        let metrics = Metrics::new();
-        let aug = alg41::augment_leaves_up::<Tropical>(&g, &tree, &metrics).unwrap();
-
-        let bytes = snapshot_to_bytes(&g, &tree, crate::Algorithm::LeavesUp, &aug);
-        let snap = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(snap.graph.n(), g.n());
-        assert_eq!(snap.graph.m(), g.m());
-        assert_eq!(snap.algo, crate::Algorithm::LeavesUp);
-        assert_eq!(snap.augmentation.eplus.len(), aug.eplus.len());
-        assert_eq!(snap.augmentation.stats.d_g, aug.stats.d_g);
-        assert_eq!(snap.augmentation.stats.leaf_bound, aug.stats.leaf_bound);
-        assert_eq!(snap.augmentation.stats.raw_pairs, aug.stats.raw_pairs);
-        for (a, b) in aug.eplus.iter().zip(&snap.augmentation.eplus) {
-            assert_eq!((a.from, a.to), (b.from, b.to));
-            assert_eq!(a.w.to_bits(), b.w.to_bits());
-        }
-        // Distances recomputed from the snapshot are bit-identical.
-        let pre1 = Preprocessed::compile(&g, &tree, aug);
-        let pre2 = Preprocessed::compile(&snap.graph, &snap.tree, snap.augmentation);
-        let (d1, _) = pre1.distances_seq(0);
-        let (d2, _) = pre2.distances_seq(0);
-        for (a, b) in d1.iter().zip(&d2) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn snapshot_header_corruptions_are_typed_errors() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(62);
-        let (g, _) = spsep_graph::generators::grid(&[5, 5], &mut rng);
-        let tree = builders::grid_tree(&[5, 5], RecursionLimits::default());
-        let metrics = Metrics::new();
-        let aug = alg41::augment_leaves_up::<Tropical>(&g, &tree, &metrics).unwrap();
-        let bytes = snapshot_to_bytes(&g, &tree, crate::Algorithm::PathDoubling, &aug);
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            snapshot_from_bytes(&bad),
-            Err(SpsepError::Parse { .. })
-        ));
-        // Version skew.
-        let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let err = snapshot_from_bytes(&bad).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-        // Unknown algorithm code.
-        let mut bad = bytes.clone();
-        bad[12..16].copy_from_slice(&9u32.to_le_bytes());
-        assert!(snapshot_from_bytes(&bad).is_err());
-        // Flipped payload byte → checksum mismatch.
-        let mut bad = bytes.clone();
-        let mid = bytes.len() / 2;
-        bad[mid] ^= 0xff;
-        let err = snapshot_from_bytes(&bad).unwrap_err();
-        assert!(
-            matches!(err, SpsepError::Parse { .. }),
-            "flipped byte must be caught: {err}"
-        );
-        // Truncation at every 97th byte (every byte is covered by the
-        // testkit catalog; this keeps the unit test fast).
-        for cut in (0..bytes.len()).step_by(97) {
-            assert!(snapshot_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
     }
 
     #[test]

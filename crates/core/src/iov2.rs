@@ -1,11 +1,11 @@
-//! The `spsep-oracle/v2` zero-copy snapshot format.
+//! The `spsep-oracle/v2` zero-copy snapshot format — the one binary
+//! oracle snapshot this workspace writes and reads.
 //!
-//! Where `spsep-oracle/v1` (see [`crate::io`]) serializes the *inputs*
-//! of query compilation (graph + tree + `E⁺`) and recompiles the
-//! schedule on every load, v2 persists the **compiled query state
-//! itself** — the CSR arrays of the graph, the augmented edge slab, the
-//! relaxation buckets, the phase sequence, the separator-locality rank —
-//! as aligned little-endian sections that are *borrowed* straight out
+//! A snapshot persists exactly what the Section 3.2 query reads, once:
+//! the **compiled query state** — the CSR arrays of the graph, the
+//! augmented edge slab `E ∪ E⁺`, the relaxation buckets, the phase
+//! sequence, the separator-locality rank — as aligned little-endian
+//! sections that are *borrowed* straight out
 //! of the snapshot buffer ([`spsep_graph::Slab`]). Loading validates
 //! headers, checksums, and semantic invariants, then hands out views:
 //! no per-edge decode, no per-element allocation. With
@@ -23,9 +23,9 @@
 //! offset 0    magic    "SPSEPORC"                  (8 bytes)
 //! offset 8    u32      version (= 2)
 //! offset 12   u32      augmentation algorithm (0 | 1 | 2)
-//! offset 16   u32      section count (= 14)
+//! offset 16   u32      section count (= 13)
 //! offset 20   u32      reserved (= 0)
-//! offset 24   section table: 14 × 32-byte entries
+//! offset 24   section table: 13 × 32-byte entries
 //!                 tag      4 bytes
 //!                 pad      4 bytes (= 0)
 //!                 u64      payload offset (absolute, 64-byte aligned)
@@ -58,14 +58,18 @@
 //! | `BSRC` | `u32`             | concatenated bucket source lists           |
 //! | `BGRP` | `Group` (12 B)    | concatenated per-target reduction groups   |
 //! | `BARC` | `ArcRec<f64>`     | concatenated relaxation arcs (16 B)        |
-//! | `TREE` | bytes             | the v1 tree section payload, **opaque**    |
 //!
-//! The `TREE` payload is carried as-is (checksummed but not decoded at
-//! load time): queries never touch the tree, so it is only parsed
-//! lazily if the oracle is re-exported as a v1 snapshot
-//! ([`crate::oracle::Oracle::save`]). A semantically corrupt tree
-//! section therefore surfaces as a typed error at *save* time, never a
-//! panic.
+//! The separator tree is not stored: queries never read it. Persist it
+//! separately as a text tree file (`spsep_separator::io::write_tree`,
+//! `spsep-cli -o tree.st`) to reuse it across weightings.
+//!
+//! # Older files
+//!
+//! Files from older builds are refused with a typed
+//! [`SpsepError::Parse`] that says to re-run `spsep-cli prepare`:
+//! `spsep-oracle/v1` snapshots (version word 1) and the earlier v2
+//! layout of 14 sections, which carried the tree as a trailing `TREE`
+//! section.
 //!
 //! # Load-time validation
 //!
@@ -81,22 +85,25 @@
 //! rejected with typed errors instead of producing wrong answers.
 
 use crate::augment::AugmentStats;
-use crate::io::{SNAPSHOT_MAGIC, SNAPSHOT_TRAILER};
 use crate::query::Preprocessed;
 use crate::schedule::{ArcRec, Bucket, Group, Schedule};
 use crate::Algorithm;
 use spsep_graph::bytes::{fnv1a64, ByteReader, ByteWriter};
 use spsep_graph::semiring::Tropical;
 use spsep_graph::slab::Pod;
-use spsep_graph::{DiGraph, Edge, Slab, SlabBytes, SpsepError, Store};
+use spsep_graph::{DiGraph, Edge, Slab, SlabBytes, SpsepError};
 use std::sync::Arc;
 
+/// File magic of an `spsep-oracle` snapshot.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPSEPORC";
+/// Trailer magic closing a snapshot (truncation sentinel).
+pub const SNAPSHOT_TRAILER: &[u8; 8] = b"SPSEPEND";
 /// Format version written and read by this module.
 pub const SNAPSHOT_VERSION_V2: u32 = 2;
 /// Alignment (bytes) of every section payload.
 pub const SECTION_ALIGN: usize = 64;
 /// Number of sections in a v2 snapshot.
-pub const SECTION_COUNT: usize = 14;
+pub const SECTION_COUNT: usize = 13;
 /// Byte length of the fixed v2 header (magic + version + algo + count +
 /// reserved).
 pub const HEADER_LEN: usize = 24;
@@ -108,7 +115,7 @@ pub const META_LEN: usize = 80;
 /// Section tags, in their mandatory file order.
 pub const SECTION_TAGS: [&[u8; 4]; SECTION_COUNT] = [
     b"META", b"AEDG", b"OOFF", b"OADJ", b"IOFF", b"IADJ", b"LVLS", b"NORD", b"SEQN", b"BOFF",
-    b"BSRC", b"BGRP", b"BARC", b"TREE",
+    b"BSRC", b"BGRP", b"BARC",
 ];
 
 const S_META: usize = 0;
@@ -124,16 +131,12 @@ const S_BOFF: usize = 9;
 const S_BSRC: usize = 10;
 const S_BGRP: usize = 11;
 const S_BARC: usize = 12;
-const S_TREE: usize = 13;
 
 /// A fully validated, zero-copy view of a v2 snapshot: the graph and
-/// the compiled query state borrow the snapshot buffer; the tree
-/// travels as opaque bytes (decoded lazily, see the module docs).
+/// the compiled query state borrow the snapshot buffer.
 pub struct SnapshotV2 {
     /// The weighted digraph `G`, CSR arrays borrowed from the snapshot.
     pub graph: DiGraph<f64>,
-    /// The v1 `TREE` section payload, undecoded.
-    pub tree_bytes: Store<u8>,
     /// Which `E⁺` construction produced the augmentation.
     pub algo: Algorithm,
     /// The compiled query state, every array borrowed from the snapshot.
@@ -152,6 +155,9 @@ impl std::fmt::Debug for SnapshotV2 {
             .finish_non_exhaustive()
     }
 }
+
+/// What every refused older-format snapshot tells the operator.
+const REPREPARE: &str = "re-run `spsep-cli prepare` to rebuild the snapshot";
 
 fn require_little_endian(verb: &str) -> Result<(), SpsepError> {
     if cfg!(target_endian = "big") {
@@ -205,16 +211,12 @@ fn put_edges(w: &mut ByteWriter, edges: &[Edge<f64>]) {
 
 /// Serialize a prepared instance as a canonical v2 snapshot.
 ///
-/// `tree_bytes` is the v1 tree section payload
-/// (`spsep_separator::io::tree_to_bytes`), carried opaquely.
-///
 /// # Errors
 ///
 /// [`SpsepError::Parse`] on a big-endian host (the format is
 /// little-endian only and never byte-swaps).
 pub fn snapshot_v2_to_bytes(
     graph: &DiGraph<f64>,
-    tree_bytes: &[u8],
     algo: Algorithm,
     pre: &Preprocessed<Tropical>,
 ) -> Result<Vec<u8>, SpsepError> {
@@ -309,7 +311,6 @@ pub fn snapshot_v2_to_bytes(
         bsrc.into_inner(),
         bgrp.into_inner(),
         barc.into_inner(),
-        tree_bytes.to_vec(),
     ];
 
     // Canonical layout: offsets are a pure function of the lengths.
@@ -401,6 +402,12 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
         ));
     }
     let version = r.u32("snapshot version")?;
+    if version == 1 {
+        return Err(SpsepError::parse(format!(
+            "found an spsep-oracle/v1 snapshot, which this build no longer reads; \
+             {REPREPARE}"
+        )));
+    }
     if version != SNAPSHOT_VERSION_V2 {
         return Err(SpsepError::parse(format!(
             "snapshot version {version} unsupported (this reader handles v{SNAPSHOT_VERSION_V2})"
@@ -409,6 +416,17 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
     let algo = algo_from_code(r.u32("algorithm code")?)?;
     let sections = r.u32("section count")?;
     if sections as usize != SECTION_COUNT {
+        // The earlier v2 layout appended the separator tree as a 14th
+        // section tagged `TREE`.
+        let tree_tag_at = HEADER_LEN + TABLE_ENTRY_LEN * SECTION_COUNT;
+        if sections as usize == SECTION_COUNT + 1
+            && buf.get(tree_tag_at..tree_tag_at + 4) == Some(b"TREE".as_slice())
+        {
+            return Err(SpsepError::parse(format!(
+                "found the older {sections}-section v2 layout with a TREE section \
+                 (this build reads {SECTION_COUNT} sections); {REPREPARE}"
+            )));
+        }
         return Err(SpsepError::parse(format!(
             "expected {SECTION_COUNT} sections, header declares {sections}"
         )));
@@ -560,8 +578,6 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
     let bsrc: Slab<u32> = section_slab(&bytes, &entries[S_BSRC], "BSRC", nsrc)?;
     let bgrp: Slab<Group> = section_slab(&bytes, &entries[S_BGRP], "BGRP", ngrp)?;
     let barc: Slab<ArcRec<f64>> = section_slab(&bytes, &entries[S_BARC], "BARC", narc)?;
-    let tree_bytes: Slab<u8> =
-        section_slab(&bytes, &entries[S_TREE], "TREE", entries[S_TREE].len)?;
 
     // Semantic sweep 1: the graph CSR (validated by from_csr_parts) and
     // the augmented edge slab.
@@ -736,25 +752,7 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
             leaf_bound,
         },
     };
-    Ok(SnapshotV2 {
-        graph,
-        tree_bytes: tree_bytes.into(),
-        algo,
-        pre,
-    })
-}
-
-/// Sniff the format version of a snapshot prefix: `Some(version)` when
-/// the magic matches, `None` otherwise. Needs at least 12 bytes.
-pub fn sniff_version(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() >= 12 && &bytes[..8] == SNAPSHOT_MAGIC {
-        let Ok(v) = <[u8; 4]>::try_from(&bytes[8..12]) else {
-            return None;
-        };
-        Some(u32::from_le_bytes(v))
-    } else {
-        None
-    }
+    Ok(SnapshotV2 { graph, algo, pre })
 }
 
 #[cfg(test)]
@@ -762,23 +760,23 @@ mod tests {
     use super::*;
     use crate::{alg41, Preprocessed};
     use rand::SeedableRng;
+    use spsep_graph::Store;
     use spsep_pram::Metrics;
-    use spsep_separator::{builders, RecursionLimits, SepTree};
+    use spsep_separator::{builders, RecursionLimits};
 
-    fn instance(dims: [usize; 2], seed: u64) -> (DiGraph<f64>, SepTree, Preprocessed<Tropical>) {
+    fn instance(dims: [usize; 2], seed: u64) -> (DiGraph<f64>, Preprocessed<Tropical>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (g, _) = spsep_graph::generators::grid(&dims, &mut rng);
         let tree = builders::grid_tree(&dims, RecursionLimits::default());
         let metrics = Metrics::new();
         let aug = alg41::augment_leaves_up::<Tropical>(&g, &tree, &metrics).unwrap();
         let pre = Preprocessed::compile(&g, &tree, aug);
-        (g, tree, pre)
+        (g, pre)
     }
 
     fn snapshot(dims: [usize; 2], seed: u64) -> (Vec<u8>, DiGraph<f64>, Preprocessed<Tropical>) {
-        let (g, tree, pre) = instance(dims, seed);
-        let tb = spsep_separator::io::tree_to_bytes(&tree);
-        let bytes = snapshot_v2_to_bytes(&g, &tb, Algorithm::LeavesUp, &pre).unwrap();
+        let (g, pre) = instance(dims, seed);
+        let bytes = snapshot_v2_to_bytes(&g, Algorithm::LeavesUp, &pre).unwrap();
         (bytes, g, pre)
     }
 
@@ -807,7 +805,6 @@ mod tests {
         assert!(matches!(snap.pre.aug_edges, Store::Slab(_)));
         assert!(matches!(snap.pre.schedule.sequence, Store::Slab(_)));
         assert!(matches!(snap.pre.schedule.buckets[0].arcs, Store::Slab(_)));
-        assert!(matches!(snap.tree_bytes, Store::Slab(_)));
     }
 
     #[test]
@@ -815,17 +812,6 @@ mod tests {
         let (b1, _, _) = snapshot([6, 6], 33);
         let (b2, _, _) = snapshot([6, 6], 33);
         assert_eq!(b1, b2, "same instance must snapshot to identical bytes");
-    }
-
-    #[test]
-    fn tree_bytes_roundtrip_opaquely() {
-        let (g, tree, pre) = instance([5, 5], 34);
-        let tb = spsep_separator::io::tree_to_bytes(&tree);
-        let bytes = snapshot_v2_to_bytes(&g, &tb, Algorithm::PathDoubling, &pre).unwrap();
-        let snap = load(bytes).unwrap();
-        assert_eq!(&snap.tree_bytes[..], &tb[..]);
-        let back = spsep_separator::io::tree_from_bytes(&snap.tree_bytes).unwrap();
-        assert_eq!(back.n(), tree.n());
     }
 
     #[test]
@@ -866,14 +852,5 @@ mod tests {
         for cut in (0..bytes.len()).step_by(131) {
             assert!(load(bytes[..cut].to_vec()).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn sniff_distinguishes_versions() {
-        let (v2, _, _) = snapshot([4, 4], 36);
-        assert_eq!(sniff_version(&v2), Some(2));
-        assert_eq!(sniff_version(b"SPSEPORC\x01\x00\x00\x00"), Some(1));
-        assert_eq!(sniff_version(b"NOTMAGIC\x02\x00\x00\x00"), None);
-        assert_eq!(sniff_version(b"SPSE"), None);
     }
 }

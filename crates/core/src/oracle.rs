@@ -7,11 +7,14 @@
 //! many queries — which is exactly what [`Oracle`] packages:
 //!
 //! * [`Oracle::prepare`] runs the full pipeline once and
-//!   [`Oracle::save`] persists the result as a versioned, checksummed
-//!   `spsep-oracle/v1` snapshot ([`crate::io::write_snapshot`]);
-//! * [`Oracle::load`] rehydrates a query-ready oracle from that snapshot
-//!   in milliseconds — no augmentation re-run, only the cheap schedule
-//!   compilation ([`crate::Preprocessed::compile`]);
+//!   [`Oracle::save_v2`] persists the compiled query state as a
+//!   versioned, checksummed `spsep-oracle/v2` snapshot
+//!   ([`crate::iov2`]); the separator tree is dropped once `prepare`
+//!   returns, because queries never read it;
+//! * [`Oracle::load`] / [`Oracle::load_path`] rehydrate a query-ready
+//!   oracle from that snapshot — no augmentation re-run and no schedule
+//!   compilation: the arrays are borrowed from the (memory-mapped)
+//!   snapshot bytes;
 //! * [`Oracle::distance`] / [`Oracle::source_table`] /
 //!   [`Oracle::batch`] answer point-to-point, single-source, and bulk
 //!   pair queries over the loaded instance.
@@ -51,8 +54,6 @@
 //! whole sharded cache behind an `RwLock` that queries hold only for
 //! the duration of a lookup or insert, never while computing a row.
 
-use crate::augment::Augmentation;
-use crate::io::{snapshot_from_bytes, write_snapshot, Snapshot};
 use crate::iov2::{self, SnapshotV2};
 use crate::query::Preprocessed;
 use crate::{preprocess, Algorithm, AugmentStats};
@@ -257,22 +258,6 @@ impl RowCache {
     }
 }
 
-/// The separator tree of an oracle, possibly still in its serialized
-/// form.
-///
-/// Queries never touch the tree — only re-exporting the oracle as a v1
-/// snapshot does — so an oracle loaded from a `spsep-oracle/v2`
-/// snapshot keeps the tree as the opaque (checksummed) `TREE` section
-/// bytes and decodes it lazily on first use. A semantically corrupt
-/// tree section therefore surfaces as a typed error from
-/// [`Oracle::save`], never as load-time work or a panic.
-enum TreeRepr {
-    /// A decoded, validated tree (freshly prepared or v1-loaded).
-    Decoded(SepTree),
-    /// The undecoded v1 tree section payload out of a v2 snapshot.
-    Encoded(Store<u8>),
-}
-
 /// A query-ready distance oracle over a preprocessed instance.
 ///
 /// Build one with [`Oracle::prepare`] (fresh preprocessing) or
@@ -294,7 +279,7 @@ enum TreeRepr {
 ///
 /// // Persist, reload, and query: prepare once, serve many.
 /// let mut snapshot = Vec::new();
-/// oracle.save(&mut snapshot)?;
+/// oracle.save_v2(&mut snapshot)?;
 /// let served = Oracle::load(snapshot.as_slice())?;
 /// let d = served.distance(0, 35, &metrics)?;
 /// assert!(d.is_finite());
@@ -303,7 +288,6 @@ enum TreeRepr {
 /// ```
 pub struct Oracle {
     graph: DiGraph<f64>,
-    tree: TreeRepr,
     algo: Algorithm,
     pre: Preprocessed<Tropical>,
     /// The sharded row cache. The outer `RwLock` exists only so
@@ -324,7 +308,8 @@ impl Oracle {
     /// Run the full preprocessing pipeline (validation, `E⁺`
     /// construction with `algo`, schedule compilation) and wrap the
     /// result in a query-ready oracle. Work and depth are charged to
-    /// `metrics`.
+    /// `metrics`. The tree is dropped once the compiled schedule and
+    /// the work ledger are taken from it: queries never read it.
     ///
     /// # Errors
     ///
@@ -344,7 +329,6 @@ impl Oracle {
         let ledger = crate::analysis::work_ledger(&tree, algo, &metrics.report(), None);
         Ok(Oracle {
             graph,
-            tree: TreeRepr::Decoded(tree),
             algo,
             pre,
             cache: RwLock::new(RowCache::new(DEFAULT_CACHE_CAPACITY)),
@@ -352,72 +336,17 @@ impl Oracle {
         })
     }
 
-    /// Wrap an already-deserialized [`Snapshot`] (the snapshot reader
-    /// has validated it) — only the cheap schedule compilation runs.
-    pub fn from_snapshot(snapshot: Snapshot) -> Oracle {
-        let _span = spsep_trace::span!("oracle.compile", n = snapshot.graph.n());
-        let Snapshot {
-            graph,
-            tree,
-            algo,
-            augmentation,
-        } = snapshot;
-        let pre = Preprocessed::compile(&graph, &tree, augmentation);
-        Oracle {
-            graph,
-            tree: TreeRepr::Decoded(tree),
-            algo,
-            pre,
-            cache: RwLock::new(RowCache::new(DEFAULT_CACHE_CAPACITY)),
-            ledger: None,
-        }
-    }
-
     /// Wrap a validated zero-copy [`SnapshotV2`] — no compilation at
     /// all: the compiled query state is borrowed from the snapshot
-    /// buffer, and the tree stays in its serialized form until first
-    /// needed (see [`Oracle::save`]).
+    /// buffer.
     pub fn from_snapshot_v2(snapshot: SnapshotV2) -> Oracle {
-        let SnapshotV2 {
-            graph,
-            tree_bytes,
-            algo,
-            pre,
-        } = snapshot;
+        let SnapshotV2 { graph, algo, pre } = snapshot;
         Oracle {
             graph,
-            tree: TreeRepr::Encoded(tree_bytes),
             algo,
             pre,
             cache: RwLock::new(RowCache::new(DEFAULT_CACHE_CAPACITY)),
             ledger: None,
-        }
-    }
-
-    /// Persist this oracle as an `spsep-oracle/v1` snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`SpsepError::Io`] if writing to `out` fails;
-    /// [`SpsepError::Parse`] if the oracle was loaded from a v2
-    /// snapshot whose (checksummed but lazily decoded) tree section
-    /// turns out to be semantically corrupt.
-    pub fn save<W: Write>(&self, out: &mut W) -> Result<(), SpsepError> {
-        let mut span = spsep_trace::span!("oracle.save", n = self.graph.n());
-        let augmentation = Augmentation::<Tropical> {
-            eplus: self.pre.eplus().to_vec(),
-            stats: self.pre.stats(),
-        };
-        let bytes_before = self.graph.m() + augmentation.eplus.len();
-        span.add_ops(bytes_before as u64);
-        match &self.tree {
-            TreeRepr::Decoded(tree) => {
-                write_snapshot(&self.graph, tree, self.algo, &augmentation, out)
-            }
-            TreeRepr::Encoded(bytes) => {
-                let tree = spsep_separator::io::tree_from_bytes(bytes)?;
-                write_snapshot(&self.graph, &tree, self.algo, &augmentation, out)
-            }
         }
     }
 
@@ -434,93 +363,56 @@ impl Oracle {
     pub fn save_v2<W: Write>(&self, out: &mut W) -> Result<(), SpsepError> {
         let mut span = spsep_trace::span!("oracle.save_v2", n = self.graph.n());
         span.add_ops((self.graph.m() + self.pre.eplus().len()) as u64);
-        let bytes = match &self.tree {
-            TreeRepr::Decoded(tree) => {
-                let tb = spsep_separator::io::tree_to_bytes(tree);
-                iov2::snapshot_v2_to_bytes(&self.graph, &tb, self.algo, &self.pre)?
-            }
-            TreeRepr::Encoded(tb) => {
-                iov2::snapshot_v2_to_bytes(&self.graph, tb, self.algo, &self.pre)?
-            }
-        };
+        let bytes = iov2::snapshot_v2_to_bytes(&self.graph, self.algo, &self.pre)?;
         out.write_all(&bytes)?;
         Ok(())
     }
 
-    /// Rehydrate an oracle from an owned byte buffer, dispatching on
-    /// the sniffed format version (v1 decodes and recompiles; v2
-    /// borrows the compiled state out of an aligned copy of the bytes).
-    fn from_bytes(bytes: Vec<u8>) -> Result<Oracle, SpsepError> {
-        if iov2::sniff_version(&bytes) == Some(iov2::SNAPSHOT_VERSION_V2) {
-            let snapshot = {
-                let _span = spsep_trace::span!("oracle.load_v2");
-                iov2::snapshot_v2_from_slab(Arc::new(SlabBytes::from_vec(bytes)))?
-            };
-            return Ok(Oracle::from_snapshot_v2(snapshot));
-        }
-        let snapshot = {
-            let _span = spsep_trace::span!("oracle.load");
-            snapshot_from_bytes(&bytes)?
-        };
-        Ok(Oracle::from_snapshot(snapshot))
-    }
-
     /// Load an oracle from a snapshot previously written by
-    /// [`Oracle::save`] or [`Oracle::save_v2`] (or `spsep-cli
-    /// prepare`). The format version is sniffed from the header, so one
-    /// entry point serves both generations.
+    /// [`Oracle::save_v2`] (or `spsep-cli prepare`). The compiled state
+    /// is borrowed out of an aligned copy of the bytes.
     ///
     /// # Errors
     ///
     /// [`SpsepError::Io`] on read failure; [`SpsepError::Parse`] on any
-    /// corruption (bad magic, version skew — including v1 bytes
-    /// relabelled as v2 and vice versa — checksum mismatch, truncation,
-    /// semantic damage caught by the section parsers);
-    /// [`SpsepError::InvalidDecomposition`] if a v1 graph and tree do
-    /// not form a valid instance.
+    /// corruption (bad magic, version skew, checksum mismatch,
+    /// truncation, semantic damage caught by the section validators)
+    /// and on snapshots from older builds (`spsep-oracle/v1`, or the
+    /// earlier 14-section v2 layout), whose message says to re-run
+    /// `spsep-cli prepare`; [`SpsepError::InvalidGraph`] if the CSR
+    /// arrays are inconsistent.
     pub fn load<R: Read>(mut input: R) -> Result<Oracle, SpsepError> {
         let mut bytes = Vec::new();
         input.read_to_end(&mut bytes)?;
-        Oracle::from_bytes(bytes)
+        let snapshot = {
+            let _span = spsep_trace::span!("oracle.load_v2");
+            iov2::snapshot_v2_from_slab(Arc::new(SlabBytes::from_vec(bytes)))?
+        };
+        Ok(Oracle::from_snapshot_v2(snapshot))
     }
 
-    /// Load an oracle from a snapshot file, **memory-mapping** v2
-    /// snapshots instead of reading them: the CSR arrays, relaxation
-    /// buckets, and edge slabs are borrowed from the `MAP_SHARED`
-    /// read-only mapping, so load time is dominated by the checksum +
-    /// validation sweep (no per-edge decode, no copies) and every
-    /// process serving the same file shares one physical page-cache
-    /// copy. v1 snapshots fall back to the streaming [`Oracle::load`].
+    /// Load an oracle from a snapshot file by **memory-mapping** it: the
+    /// CSR arrays, relaxation buckets, and edge slabs are borrowed from
+    /// the `MAP_SHARED` read-only mapping, so load time is dominated by
+    /// the checksum + validation sweep (no per-edge decode, no copies)
+    /// and every process serving the same file shares one physical
+    /// page-cache copy.
     ///
     /// # Errors
     ///
     /// As [`Oracle::load`], plus [`SpsepError::Io`] if the file cannot
     /// be opened or mapped.
     pub fn load_path(path: &Path) -> Result<Oracle, SpsepError> {
-        let mut file = std::fs::File::open(path)?;
-        let mut head = [0u8; 12];
-        let mut filled = 0usize;
-        while filled < head.len() {
-            match file.read(&mut head[filled..])? {
-                0 => break,
-                k => filled += k,
-            }
-        }
-        if iov2::sniff_version(&head[..filled]) == Some(iov2::SNAPSHOT_VERSION_V2) {
-            let snapshot = {
-                let _span = spsep_trace::span!("oracle.load_v2_mmap");
-                let slab = SlabBytes::map_file(&file)?;
-                iov2::snapshot_v2_from_slab(Arc::new(slab))?
-            };
-            return Ok(Oracle::from_snapshot_v2(snapshot));
-        }
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(0))?;
-        Oracle::load(std::io::BufReader::new(file))
+        let file = std::fs::File::open(path)?;
+        let snapshot = {
+            let _span = spsep_trace::span!("oracle.load_v2_mmap");
+            iov2::snapshot_v2_from_slab(Arc::new(SlabBytes::map_file(&file)?))?
+        };
+        Ok(Oracle::from_snapshot_v2(snapshot))
     }
 
     /// Whether this oracle's arrays are borrowed from a snapshot slab
-    /// (v2 load) rather than owned (fresh prepare / v1 load). Purely
+    /// (a loaded snapshot) rather than owned (a fresh prepare). Purely
     /// observational — answers are identical either way.
     pub fn is_slab_backed(&self) -> bool {
         matches!(self.pre.aug_edges, Store::Slab(_))
@@ -763,26 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_is_bit_identical() {
-        let oracle = grid_oracle([7, 6], 21);
-        let metrics = Metrics::new();
-        let mut buf = Vec::new();
-        oracle.save(&mut buf).unwrap();
-        let served = Oracle::load(buf.as_slice()).unwrap();
-        assert_eq!(served.n(), oracle.n());
-        assert_eq!(served.m(), oracle.m());
-        assert_eq!(served.algo(), oracle.algo());
-        assert_eq!(served.stats().eplus_edges, oracle.stats().eplus_edges);
-        for s in 0..oracle.n() {
-            let a = oracle.source_table(s, &metrics).unwrap();
-            let b = served.source_table(s, &metrics).unwrap();
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "source {s}");
-            }
-        }
-    }
-
-    #[test]
     fn save_v2_load_roundtrip_is_bit_identical_and_slab_backed() {
         let oracle = grid_oracle([7, 6], 29);
         let metrics = Metrics::new();
@@ -803,41 +675,28 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "source {s}");
             }
         }
-        // A v2-loaded oracle can re-export both formats (the lazily
-        // decoded tree round-trips through the opaque TREE section).
-        let mut v1 = Vec::new();
-        served.save(&mut v1).unwrap();
-        let via_v1 = Oracle::load(v1.as_slice()).unwrap();
+        // A loaded oracle re-exports the same canonical bytes.
         let mut v2_again = Vec::new();
         served.save_v2(&mut v2_again).unwrap();
         assert_eq!(v2, v2_again, "v2 snapshots are canonical bytes");
-        let d1 = via_v1.distance(0, 17, &metrics).unwrap();
-        let d2 = served.distance(0, 17, &metrics).unwrap();
-        assert_eq!(d1.to_bits(), d2.to_bits());
     }
 
     #[test]
-    fn load_path_memory_maps_v2_and_streams_v1() {
+    fn load_path_memory_maps_the_snapshot() {
         let oracle = grid_oracle([6, 6], 30);
         let metrics = Metrics::new();
         let dir = std::env::temp_dir().join(format!("spsep-oracle-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let v1_path = dir.join("snap.v1");
-        let v2_path = dir.join("snap.v2");
-        oracle.save(&mut std::fs::File::create(&v1_path).unwrap()).unwrap();
-        oracle.save_v2(&mut std::fs::File::create(&v2_path).unwrap()).unwrap();
-        let from_v1 = Oracle::load_path(&v1_path).unwrap();
-        let from_v2 = Oracle::load_path(&v2_path).unwrap();
-        assert!(!from_v1.is_slab_backed());
+        let path = dir.join("snap.v2");
+        oracle.save_v2(&mut std::fs::File::create(&path).unwrap()).unwrap();
+        let mapped = Oracle::load_path(&path).unwrap();
         #[cfg(unix)]
-        assert!(from_v2.is_slab_backed());
+        assert!(mapped.is_slab_backed());
         for s in [0usize, 7, 35] {
-            let a = from_v1.source_table(s, &metrics).unwrap();
-            let b = from_v2.source_table(s, &metrics).unwrap();
-            let c = oracle.source_table(s, &metrics).unwrap();
-            for ((x, y), z) in a.iter().zip(b.iter()).zip(c.iter()) {
-                assert_eq!(x.to_bits(), z.to_bits(), "v1 source {s}");
-                assert_eq!(y.to_bits(), z.to_bits(), "v2 source {s}");
+            let a = mapped.source_table(s, &metrics).unwrap();
+            let b = oracle.source_table(s, &metrics).unwrap();
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "source {s}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -846,24 +705,16 @@ mod tests {
     #[test]
     fn version_skew_both_directions_is_a_typed_error() {
         let oracle = grid_oracle([5, 5], 31);
-        let mut v1 = Vec::new();
-        oracle.save(&mut v1).unwrap();
         let mut v2 = Vec::new();
         oracle.save_v2(&mut v2).unwrap();
-        // v1 bytes relabelled as v2: the v2 parser rejects them.
-        let mut skew = v1.clone();
-        skew[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let Err(err) = Oracle::load(skew.as_slice()) else {
-            panic!("v1 bytes relabelled as v2 must fail")
-        };
-        assert!(matches!(err, SpsepError::Parse { .. }), "{err}");
-        // v2 bytes relabelled as v1: the v1 parser rejects them.
+        // An older format version is refused with a re-prepare hint.
         let mut skew = v2.clone();
         skew[8..12].copy_from_slice(&1u32.to_le_bytes());
         let Err(err) = Oracle::load(skew.as_slice()) else {
-            panic!("v2 bytes relabelled as v1 must fail")
+            panic!("a v1 header must fail")
         };
         assert!(matches!(err, SpsepError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("spsep-cli prepare"), "{err}");
         // An unknown future version is rejected with its number named.
         let mut skew = v2;
         skew[8..12].copy_from_slice(&7u32.to_le_bytes());

@@ -1,9 +1,9 @@
 //! Bounds-checked little-endian byte codec for binary artifacts.
 //!
-//! The persistent oracle snapshot (`spsep-oracle/v1`, see
-//! `spsep_core::io`) is a hand-rolled binary format — the workspace
-//! vendors no serde — so every crate that contributes a section needs
-//! the same two primitives:
+//! The persistent oracle snapshot (`spsep-oracle/v2`, see
+//! `spsep_core::iov2`) and the daemon wire protocol (`spsep_serve`) are
+//! hand-rolled binary formats — the workspace vendors no serde — so
+//! they share the same two primitives:
 //!
 //! * [`ByteWriter`] — appends fixed-width little-endian fields to a
 //!   growable buffer (writes are infallible);

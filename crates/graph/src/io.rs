@@ -1,5 +1,4 @@
-//! Graph serialization: plain text (DIMACS shortest-path style) and the
-//! binary section of the oracle snapshot.
+//! Graph serialization: plain text (DIMACS shortest-path style).
 //!
 //! Text format:
 //!
@@ -16,12 +15,9 @@
 //! line-numbered [`SpsepError::Parse`] errors — a malformed file can
 //! never panic the caller or silently produce a wrong graph.
 //!
-//! [`graph_to_bytes`] / [`graph_from_bytes`] are the binary codec used
-//! by the `spsep-oracle/v1` snapshot (`spsep_core::io`): weights travel
-//! as IEEE-754 bit patterns so distances recomputed from a loaded
-//! snapshot are **bit-identical** to the in-memory originals.
+//! The binary oracle snapshot (`spsep_core::iov2`) stores the graph as
+//! its own CSR sections, not through this module.
 
-use crate::bytes::{ByteReader, ByteWriter};
 use crate::digraph::{DiGraph, Edge};
 use crate::error::SpsepError;
 use std::fmt::Write as _;
@@ -110,56 +106,6 @@ pub fn read_dimacs<R: BufRead>(input: R) -> Result<DiGraph<f64>, SpsepError> {
     Ok(DiGraph::from_edges(n, edges))
 }
 
-/// Serialize `g` as a self-contained binary payload (the `GRPH` section
-/// of the `spsep-oracle/v1` snapshot):
-///
-/// ```text
-/// n: u64 · m: u64 · m × (from: u32, to: u32, weight: f64 bits)
-/// ```
-///
-/// all little-endian. Weights are written as raw IEEE-754 bit patterns,
-/// so `-0.0`, subnormals, and every finite value round-trip bit-exactly.
-pub fn graph_to_bytes(g: &DiGraph<f64>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(g.n() as u64);
-    w.u64(g.m() as u64);
-    for e in g.edges() {
-        w.u32(e.from);
-        w.u32(e.to);
-        w.f64(e.w);
-    }
-    w.into_inner()
-}
-
-/// Parse a payload written by [`graph_to_bytes`].
-///
-/// Hardened like the text parser: truncation, element-count overruns,
-/// out-of-range endpoints, and NaN weights are all typed
-/// [`SpsepError::Parse`] failures — never a panic, never a silently
-/// wrong graph.
-pub fn graph_from_bytes(bytes: &[u8]) -> Result<DiGraph<f64>, SpsepError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.count("graph vertex count", 0)?;
-    let m = r.count("graph edge count", 16)?;
-    let mut edges: Vec<Edge<f64>> = Vec::with_capacity(m);
-    for i in 0..m {
-        let from = r.u32("edge source")?;
-        let to = r.u32("edge target")?;
-        let w = r.f64("edge weight")?;
-        if from as usize >= n || to as usize >= n {
-            return Err(SpsepError::parse(format!(
-                "edge #{i} endpoint {from}→{to} out of range 0..{n}"
-            )));
-        }
-        if w.is_nan() {
-            return Err(SpsepError::parse(format!("edge #{i} weight is NaN")));
-        }
-        edges.push(Edge::new(from as usize, to as usize, w));
-    }
-    r.expect_exhausted("graph payload")?;
-    Ok(DiGraph::from_edges(n, edges))
-}
-
 pub(crate) fn parse_field<T: std::str::FromStr>(
     field: Option<&str>,
     lineno: usize,
@@ -210,49 +156,6 @@ mod tests {
         assert!(read_dimacs("p sp 2 2\na 1 2 1.0\n".as_bytes()).is_err()); // count
         assert!(read_dimacs("q sp 2 1\n".as_bytes()).is_err()); // record
         assert!(read_dimacs("p sp 2 1\na 1 2 abc\n".as_bytes()).is_err()); // weight
-    }
-
-    #[test]
-    fn binary_roundtrip_is_bit_exact() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let (g, _) = generators::grid(&[5, 6], &mut rng);
-        let bytes = graph_to_bytes(&g);
-        let g2 = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(g.n(), g2.n());
-        assert_eq!(g.m(), g2.m());
-        for (a, b) in g.edges().iter().zip(g2.edges()) {
-            assert_eq!((a.from, a.to), (b.from, b.to));
-            assert_eq!(a.w.to_bits(), b.w.to_bits());
-        }
-    }
-
-    #[test]
-    fn binary_rejections_are_typed() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let (g, _) = generators::grid(&[3, 3], &mut rng);
-        let bytes = graph_to_bytes(&g);
-        // Truncations at every prefix length must error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(
-                    graph_from_bytes(&bytes[..cut]),
-                    Err(SpsepError::Parse { .. })
-                ),
-                "cut at {cut} must be a typed parse error"
-            );
-        }
-        // Trailing garbage.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(graph_from_bytes(&padded).is_err());
-        // Out-of-range endpoint (first edge's `from` = n).
-        let mut bad = bytes.clone();
-        bad[16..20].copy_from_slice(&(g.n() as u32).to_le_bytes());
-        assert!(graph_from_bytes(&bad).is_err());
-        // NaN weight on the first edge.
-        let mut bad = bytes;
-        bad[24..32].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(graph_from_bytes(&bad).is_err());
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! [`SpsepError::InvalidDecomposition`].
 
 use crate::tree::{sorted_union, SepNode, SepTree};
-use spsep_graph::bytes::{ByteReader, ByteWriter};
 use spsep_graph::SpsepError;
 use std::io::{BufRead, Write};
 
@@ -188,177 +187,6 @@ pub fn read_tree<R: BufRead>(input: R) -> Result<SepTree, SpsepError> {
     SepTree::try_assemble(n, nodes)
 }
 
-/// Serialize `tree` as a self-contained binary payload (the `TREE`
-/// section of the `spsep-oracle/v1` snapshot):
-///
-/// ```text
-/// n: u64 · num_nodes: u64
-/// num_nodes × (parent: u32 (u32::MAX = root) · kind: u8 (1 = leaf)
-///              · count: u64 · ids: u32 × count)      — S(t), or V(t) for leaves
-/// num_nodes × (count: u64 · ids: u32 × count)        — boundary tables B(t)
-/// ```
-///
-/// Like the text format, only the non-derivable data is stored per node
-/// — but the per-node **boundary tables** `B(t)` are appended as a
-/// redundant section: boundaries are recomputed by
-/// [`SepTree::try_assemble`] at load time, and [`tree_from_bytes`]
-/// cross-checks the stored tables against the recomputed ones. A
-/// snapshot whose tree section was damaged in a way that still
-/// assembles (e.g. a patched separator list with a fixed-up checksum)
-/// is caught by this comparison instead of silently serving wrong
-/// distances.
-pub fn tree_to_bytes(tree: &SepTree) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(tree.n() as u64);
-    w.u64(tree.nodes().len() as u64);
-    for node in tree.nodes() {
-        w.u32(node.parent.unwrap_or(u32::MAX));
-        let ids = if node.is_leaf() {
-            w.u8(1);
-            &node.vertices
-        } else {
-            w.u8(0);
-            &node.separator
-        };
-        w.u64(ids.len() as u64);
-        for &v in ids {
-            w.u32(v);
-        }
-    }
-    for node in tree.nodes() {
-        w.u64(node.boundary.len() as u64);
-        for &v in &node.boundary {
-            w.u32(v);
-        }
-    }
-    w.into_inner()
-}
-
-/// Parse a payload written by [`tree_to_bytes`], reassembling the full
-/// tree ([`SepTree::try_assemble`]) and cross-checking the stored
-/// per-node boundary tables against the recomputed boundaries.
-///
-/// Hardened like [`read_tree`]: truncation, count overruns, broken
-/// parent order, wrong child arity, out-of-range ids, and boundary
-/// table mismatches are all typed [`SpsepError`] failures.
-pub fn tree_from_bytes(bytes: &[u8]) -> Result<SepTree, SpsepError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.count("tree vertex count", 0)?;
-    let num_nodes = r.count("tree node count", 13)?;
-    if num_nodes == 0 {
-        return Err(SpsepError::parse("tree must have at least one node"));
-    }
-    struct RawNode {
-        parent: u32,
-        leaf: bool,
-        ids: Vec<u32>,
-    }
-    let mut raw: Vec<RawNode> = Vec::with_capacity(num_nodes);
-    for i in 0..num_nodes {
-        let parent = r.u32("node parent")?;
-        let leaf = match r.u8("node kind")? {
-            0 => false,
-            1 => true,
-            k => {
-                return Err(SpsepError::parse(format!("node {i}: unknown kind {k}")));
-            }
-        };
-        let count = r.count("node id count", 4)?;
-        let mut ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            let v = r.u32("node vertex id")?;
-            if v as usize >= n {
-                return Err(SpsepError::parse(format!(
-                    "node {i}: vertex {v} out of range 0..{n}"
-                )));
-            }
-            ids.push(v);
-        }
-        raw.push(RawNode { parent, leaf, ids });
-    }
-    // Children + levels (same structural checks as the text reader).
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
-    let mut level = vec![0u32; num_nodes];
-    for (i, node) in raw.iter().enumerate() {
-        if node.parent != u32::MAX {
-            let p = node.parent as usize;
-            if p >= i {
-                return Err(SpsepError::parse(format!(
-                    "node {i}: parent {p} not before child (need BFS order)"
-                )));
-            }
-            children[p].push(i as u32);
-            level[i] = level[p] + 1;
-        } else if i != 0 {
-            return Err(SpsepError::parse(format!(
-                "node {i}: only node 0 may be the root"
-            )));
-        }
-    }
-    // Reconstruct V(t) bottom-up.
-    let mut vertices: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
-    for i in (0..num_nodes).rev() {
-        if raw[i].leaf {
-            if !children[i].is_empty() {
-                return Err(SpsepError::parse(format!("leaf {i} has children")));
-            }
-            vertices[i] = raw[i].ids.clone();
-            vertices[i].sort_unstable();
-            vertices[i].dedup();
-        } else {
-            if children[i].len() != 2 {
-                return Err(SpsepError::parse(format!(
-                    "internal node {i} has {} children (need 2)",
-                    children[i].len()
-                )));
-            }
-            let (a, b) = (children[i][0] as usize, children[i][1] as usize);
-            vertices[i] = sorted_union(&vertices[a], &vertices[b]);
-        }
-    }
-    let nodes: Vec<SepNode> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, node)| SepNode {
-            vertices: std::mem::take(&mut vertices[i]),
-            separator: {
-                let mut s = node.ids.clone();
-                if node.leaf {
-                    s.clear();
-                }
-                s.sort_unstable();
-                s
-            },
-            boundary: Vec::new(),
-            children: (!node.leaf).then(|| (children[i][0], children[i][1])),
-            parent: (node.parent != u32::MAX).then_some(node.parent),
-            level: level[i],
-        })
-        .collect();
-    let tree = SepTree::try_assemble(n, nodes)?;
-    // Boundary tables: must match the boundaries try_assemble derived.
-    for (i, node) in tree.nodes().iter().enumerate() {
-        let count = r.count("boundary table size", 4)?;
-        let mut table = Vec::with_capacity(count);
-        for _ in 0..count {
-            table.push(r.u32("boundary vertex id")?);
-        }
-        if table != node.boundary {
-            return Err(SpsepError::invalid_node(
-                i as u32,
-                format!(
-                    "stored boundary table ({} vertices) disagrees with the \
-                     recomputed boundary ({} vertices)",
-                    table.len(),
-                    node.boundary.len()
-                ),
-            ));
-        }
-    }
-    r.expect_exhausted("tree payload")?;
-    Ok(tree)
-}
-
 fn parse<T: std::str::FromStr>(
     field: Option<&str>,
     lineno: usize,
@@ -409,78 +237,6 @@ mod tests {
         let back = read_tree(buf.as_slice()).unwrap();
         back.validate(&adj).unwrap();
         assert_eq!(tree.nodes().len(), back.nodes().len());
-    }
-
-    #[test]
-    fn binary_roundtrip_preserves_everything() {
-        let tree = builders::grid_tree(&[7, 9], RecursionLimits::default());
-        let bytes = tree_to_bytes(&tree);
-        let back = tree_from_bytes(&bytes).unwrap();
-        assert_eq!(tree.n(), back.n());
-        assert_eq!(tree.nodes().len(), back.nodes().len());
-        for (a, b) in tree.nodes().iter().zip(back.nodes()) {
-            assert_eq!(a.vertices, b.vertices);
-            assert_eq!(a.separator, b.separator);
-            assert_eq!(a.boundary, b.boundary);
-            assert_eq!(a.level, b.level);
-            assert_eq!(a.children, b.children);
-            assert_eq!(a.parent, b.parent);
-        }
-        assert_eq!(tree.vertex_levels(), back.vertex_levels());
-    }
-
-    #[test]
-    fn binary_truncations_are_typed_errors() {
-        let tree = builders::grid_tree(&[5, 5], RecursionLimits::default());
-        let bytes = tree_to_bytes(&tree);
-        for cut in 0..bytes.len() {
-            assert!(
-                tree_from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-        let mut padded = bytes;
-        padded.push(0);
-        assert!(tree_from_bytes(&padded).is_err());
-    }
-
-    #[test]
-    fn binary_boundary_table_mismatch_is_caught() {
-        let tree = builders::grid_tree(&[5, 5], RecursionLimits::default());
-        let mut bytes = tree_to_bytes(&tree);
-        // Walk the layout to the first nonempty boundary table and
-        // replace its first entry with a different in-range vertex.
-        let mut off = 16; // n + num_nodes headers
-        for node in tree.nodes() {
-            let ids = if node.is_leaf() {
-                node.vertices.len()
-            } else {
-                node.separator.len()
-            };
-            off += 4 + 1 + 8 + 4 * ids; // parent + kind + count + ids
-        }
-        let target = tree
-            .nodes()
-            .iter()
-            .find(|t| !t.boundary.is_empty())
-            .expect("grid tree has boundaries");
-        for node in tree.nodes() {
-            if std::ptr::eq(node, target) {
-                break;
-            }
-            off += 8 + 4 * node.boundary.len();
-        }
-        off += 8; // the table's own count field
-        let old = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let replacement = (0..tree.n() as u32)
-            .find(|v| *v != old && !target.boundary.contains(v))
-            .unwrap();
-        bytes[off..off + 4].copy_from_slice(&replacement.to_le_bytes());
-        let err = tree_from_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(err, SpsepError::InvalidDecomposition { .. }),
-            "got {err:?}"
-        );
     }
 
     #[test]

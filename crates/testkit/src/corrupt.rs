@@ -151,198 +151,14 @@ pub fn text_corruptions() -> Vec<TextCorruption> {
     ]
 }
 
-/// A named, deterministic corruption of a binary `spsep-oracle/v1`
-/// snapshot (`spsep_core::io::snapshot_from_bytes`).
+/// A named, deterministic corruption of a binary `spsep-oracle/v2`
+/// snapshot (`spsep_core::iov2::snapshot_v2_from_slab`).
 pub struct SnapshotCorruption {
     /// Stable identifier (used in assertion messages).
     pub name: &'static str,
     /// The transformation, applied to a *valid* snapshot of an instance
     /// with at least one edge and one shortcut.
     pub apply: fn(&[u8]) -> Vec<u8>,
-}
-
-/// Byte offset where the snapshot's section list begins:
-/// 8 (magic) + 4 (version) + 4 (algorithm) + 4 (section count).
-const SNAPSHOT_SECTIONS_AT: usize = 20;
-
-/// Locate the `idx`-th section of a valid snapshot, apply `patch` to
-/// its payload, and **fix the stored FNV-1a checksum** — a
-/// checksum-consistent semantic patch that the integrity layer cannot
-/// catch, so the section's own validators must.
-fn patch_section(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8> {
-    let mut pos = SNAPSHOT_SECTIONS_AT;
-    for _ in 0..idx {
-        let len = section_len(bytes, pos);
-        pos += 4 + 8 + 8 + len; // tag + length + checksum + payload
-    }
-    let len = section_len(bytes, pos);
-    let payload_at = pos + 4 + 8 + 8;
-    let mut payload = bytes[payload_at..payload_at + len].to_vec();
-    patch(&mut payload);
-    assert_eq!(payload.len(), len, "patches must preserve payload length");
-    let mut out = bytes.to_vec();
-    out[payload_at..payload_at + len].copy_from_slice(&payload);
-    let sum = spsep_graph::bytes::fnv1a64(&payload);
-    out[pos + 12..pos + 20].copy_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Payload length of the section whose tag starts at `pos`.
-fn section_len(bytes: &[u8], pos: usize) -> usize {
-    let Ok(raw) = <[u8; 8]>::try_from(&bytes[pos + 4..pos + 12]) else {
-        unreachable!("slice of length 8")
-    };
-    u64::from_le_bytes(raw) as usize
-}
-
-/// All snapshot-level corruptions. Every entry must make
-/// `snapshot_from_bytes` return `Err(SpsepError::…)` — never panic,
-/// never yield a usable oracle — when applied to a valid snapshot of an
-/// instance with at least one edge and one shortcut.
-pub fn snapshot_corruptions() -> Vec<SnapshotCorruption> {
-    vec![
-        SnapshotCorruption {
-            name: "snapshot: empty file",
-            apply: |_| Vec::new(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: truncated inside the header",
-            apply: |b| b[..7.min(b.len())].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: truncated mid-payload",
-            apply: |b| b[..b.len() / 2].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: trailer missing",
-            apply: |b| b[..b.len() - 8].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: last byte missing",
-            apply: |b| b[..b.len() - 1].to_vec(),
-        },
-        SnapshotCorruption {
-            name: "snapshot: bad magic",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[0] = b'X';
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: version skew (v2 from the future)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[8..12].copy_from_slice(&2u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: version skew (v0)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[8..12].copy_from_slice(&0u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: unknown algorithm code",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[12..16].copy_from_slice(&77u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: wrong section count",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[16..20].copy_from_slice(&9u32.to_le_bytes());
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: first section tag renamed",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out[SNAPSHOT_SECTIONS_AT..SNAPSHOT_SECTIONS_AT + 4].copy_from_slice(b"XXXX");
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: flipped payload byte (checksum mismatch)",
-            apply: |b| {
-                let mut out = b.to_vec();
-                let mid = out.len() / 2;
-                out[mid] ^= 0xff;
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: flipped stored checksum byte",
-            apply: |b| {
-                let mut out = b.to_vec();
-                // Checksum of the first section lives right after its
-                // tag (4) and length (8).
-                out[SNAPSHOT_SECTIONS_AT + 12] ^= 0xff;
-                out
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: trailing garbage after the trailer",
-            apply: |b| {
-                let mut out = b.to_vec();
-                out.push(0);
-                out
-            },
-        },
-        // Checksum-consistent semantic patches: the integrity layer is
-        // deliberately defeated (patch_section recomputes the FNV-1a
-        // sum), so the per-section validators are the last line of
-        // defense.
-        SnapshotCorruption {
-            name: "snapshot: graph edge endpoint out of range (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 0, |p| {
-                    // graph payload: n u64 · m u64 · edges (from at 16).
-                    p[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: graph NaN weight (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 0, |p| {
-                    // First edge's weight at 16 + 8.
-                    p[24..32].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: tree vertex count mismatch (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 1, |p| {
-                    // tree payload: n u64 first — now disagrees with the
-                    // graph section.
-                    let Ok(raw) = <[u8; 8]>::try_from(&p[0..8]) else {
-                        unreachable!("slice of length 8")
-                    };
-                    let n = u64::from_le_bytes(raw);
-                    p[0..8].copy_from_slice(&(n + 1).to_le_bytes());
-                })
-            },
-        },
-        SnapshotCorruption {
-            name: "snapshot: shortcut endpoint out of range (checksum fixed)",
-            apply: |b| {
-                patch_section(b, 2, |p| {
-                    // augmentation payload: d_g u32 · leaf u64 · raw u64
-                    // · count u64 · shortcuts (from at 28).
-                    p[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-                })
-            },
-        },
-    ]
 }
 
 // ---------------------------------------------------------------------
@@ -361,12 +177,16 @@ const V2_HEADER_LEN: usize = 24;
 /// length 8 + checksum 8.
 const V2_ENTRY_LEN: usize = 32;
 /// Sections in a v2 snapshot.
-const V2_SECTION_COUNT: usize = 14;
-/// First byte past the section table (`24 + 14·32`).
+const V2_SECTION_COUNT: usize = 13;
+/// First byte past the section table (`24 + 13·32`).
 const V2_TABLE_END: usize = V2_HEADER_LEN + V2_SECTION_COUNT * V2_ENTRY_LEN;
 /// Section payloads are aligned to this boundary; the first payload
-/// therefore starts at `pad₆₄(472) = 512`.
+/// therefore starts at `pad₆₄(440) = 448`.
 const V2_SECTION_ALIGN: usize = 64;
+
+fn pad_to_align(off: usize) -> usize {
+    off.div_ceil(V2_SECTION_ALIGN) * V2_SECTION_ALIGN
+}
 
 /// `(offset, length)` of the `idx`-th section, read from the table.
 fn v2_entry(bytes: &[u8], idx: usize) -> (usize, usize) {
@@ -403,21 +223,60 @@ fn patch_section_v2(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8
     out
 }
 
-/// A checksum-consistent semantic patch of the **TREE** section
-/// (the first node's kind byte set to an unassigned value).
-///
-/// Deliberately *not* part of [`snapshot_corruptions_v2`]: the v2
-/// reader borrows the tree bytes opaquely — the oracle answers
-/// distance queries without ever decoding them — so this patch loads
-/// fine and must instead surface as a typed error from
-/// `Oracle::save` (the first operation that decodes the tree). The
-/// snapshot_v2 suite asserts exactly that split.
-pub fn v2_tree_semantic_patch(bytes: &[u8]) -> Vec<u8> {
-    patch_section_v2(bytes, 13, |p| {
-        // Binary tree payload: n u64 · node count u64 · node 0
-        // (parent u32 · kind u8 · …). Kind 7 is unassigned.
-        p[20] = 7;
-    })
+/// The header and first section of an `spsep-oracle/v1` snapshot, the
+/// retired format older builds wrote: magic, version 1, the algorithm
+/// code of `v2`, section count 3, then a `GRPH` section holding an
+/// empty graph (`n = 0`, `m = 0`) under its FNV-1a checksum. No reader
+/// accepts it any more; loading it must say to re-run
+/// `spsep-cli prepare`.
+pub fn v1_snapshot_header(v2: &[u8]) -> Vec<u8> {
+    let payload = [0u8; 16];
+    let mut out = b"SPSEPORC".to_vec();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&v2[12..16]);
+    out.extend_from_slice(&3u32.to_le_bytes());
+    out.extend_from_slice(b"GRPH");
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&spsep_graph::bytes::fnv1a64(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// `v2` rewritten in the earlier 14-section v2 layout: the same 13
+/// sections, shifted to make room for a 14th table entry, followed by
+/// a trailing `TREE` section (here a short opaque payload) — a file
+/// an older build wrote. Loading it must say to re-run
+/// `spsep-cli prepare`.
+pub fn v2_with_trailing_tree_section(v2: &[u8]) -> Vec<u8> {
+    let tree = b"separator tree payload".as_slice();
+    let count = V2_SECTION_COUNT + 1;
+    let first_old = pad_to_align(V2_TABLE_END);
+    let first_new = pad_to_align(V2_HEADER_LEN + count * V2_ENTRY_LEN);
+    let shift = first_new - first_old;
+    let (last_off, last_len) = v2_entry(v2, V2_SECTION_COUNT - 1);
+    let body_end = last_off + last_len;
+    let tree_off = pad_to_align(body_end + shift);
+
+    let mut out = v2[..V2_HEADER_LEN].to_vec();
+    out[16..20].copy_from_slice(&(count as u32).to_le_bytes());
+    for i in 0..V2_SECTION_COUNT {
+        let at = V2_HEADER_LEN + i * V2_ENTRY_LEN;
+        let (off, _) = v2_entry(v2, i);
+        out.extend_from_slice(&v2[at..at + 8]); // tag + pad
+        out.extend_from_slice(&((off + shift) as u64).to_le_bytes());
+        out.extend_from_slice(&v2[at + 16..at + V2_ENTRY_LEN]); // length + checksum
+    }
+    out.extend_from_slice(b"TREE");
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&(tree_off as u64).to_le_bytes());
+    out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
+    out.extend_from_slice(&spsep_graph::bytes::fnv1a64(tree).to_le_bytes());
+    out.resize(first_new, 0);
+    out.extend_from_slice(&v2[first_old..body_end]);
+    out.resize(tree_off, 0);
+    out.extend_from_slice(tree);
+    out.extend_from_slice(&v2[body_end..]); // the trailer
+    out
 }
 
 /// All `spsep-oracle/v2` corruptions. Every entry must make
@@ -425,8 +284,7 @@ pub fn v2_tree_semantic_patch(bytes: &[u8]) -> Vec<u8> {
 /// yield a usable oracle — when applied to a valid v2 snapshot of an
 /// instance with at least one edge, one shortcut, and one scheduled
 /// arc. Section indices: META 0, AEDG 1, OOFF 2, OADJ 3, IOFF 4,
-/// IADJ 5, LVLS 6, NORD 7, SEQN 8, BOFF 9, BSRC 10, BGRP 11, BARC 12,
-/// TREE 13.
+/// IADJ 5, LVLS 6, NORD 7, SEQN 8, BOFF 9, BSRC 10, BGRP 11, BARC 12.
 pub fn snapshot_corruptions_v2() -> Vec<SnapshotCorruption> {
     vec![
         SnapshotCorruption {
@@ -485,6 +343,14 @@ pub fn snapshot_corruptions_v2() -> Vec<SnapshotCorruption> {
             },
         },
         SnapshotCorruption {
+            name: "v2: spsep-oracle/v1 snapshot from an older build (re-prepare)",
+            apply: v1_snapshot_header,
+        },
+        SnapshotCorruption {
+            name: "v2: older 14-section layout with a trailing TREE section (re-prepare)",
+            apply: v2_with_trailing_tree_section,
+        },
+        SnapshotCorruption {
             name: "v2: version skew (v3 from the future)",
             apply: |b| {
                 let mut out = b.to_vec();
@@ -504,7 +370,7 @@ pub fn snapshot_corruptions_v2() -> Vec<SnapshotCorruption> {
             name: "v2: wrong section count",
             apply: |b| {
                 let mut out = b.to_vec();
-                out[16..20].copy_from_slice(&13u32.to_le_bytes());
+                out[16..20].copy_from_slice(&12u32.to_le_bytes());
                 out
             },
         },

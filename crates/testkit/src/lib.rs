@@ -23,11 +23,13 @@
 //!
 //! A third family targets the binary serving artifact:
 //!
-//! * [`corrupt::snapshot_corruptions`] — damage to `spsep-oracle/v1`
+//! * [`corrupt::snapshot_corruptions_v2`] — damage to `spsep-oracle/v2`
 //!   snapshots (truncation at several depths, bad magic, version skew,
-//!   flipped payload and checksum bytes, and checksum-*consistent*
-//!   semantic patches that defeat the integrity layer so the section
-//!   validators must catch them). Driven by `tests/oracle.rs`.
+//!   non-canonical layouts, flipped payload and checksum bytes,
+//!   checksum-*consistent* semantic patches that defeat the integrity
+//!   layer so the section validators must catch them, and files from
+//!   older builds that must be refused with a re-prepare error). Driven
+//!   by `tests/snapshot_v2.rs`.
 //!
 //! * [`corrupt::wire_corruptions`] — damage to the query daemon's
 //!   framed TCP protocol (truncated frames, oversized length prefixes,
@@ -44,8 +46,8 @@
 pub mod corrupt;
 
 pub use corrupt::{
-    import_corruptions, instance_corruptions, snapshot_corruptions, snapshot_corruptions_v2,
-    text_corruptions, v2_section_bounds, v2_tree_semantic_patch, wire_corruptions,
-    CorruptInstance, ImportCorruption, ImportInput, SnapshotCorruption, TextCorruption,
-    TextFormat, WireCorruption, WireExpectation,
+    import_corruptions, instance_corruptions, snapshot_corruptions_v2, text_corruptions,
+    v1_snapshot_header, v2_section_bounds, v2_with_trailing_tree_section, wire_corruptions,
+    CorruptInstance, ImportCorruption, ImportInput, SnapshotCorruption, TextCorruption, TextFormat,
+    WireCorruption, WireExpectation,
 };

@@ -1,97 +1,30 @@
 //! The serving-layer differential suite.
 //!
-//! Contracts under test:
+//! Contract under test: **batch determinism** — `Oracle::batch`
+//! (parallel across sources) on a reloaded `spsep-oracle/v2` snapshot
+//! returns bit-identical answers at every thread count, and the cache
+//! state it leaves behind is thread-count independent.
 //!
-//! 1. **Round-trip bit-identity** — an oracle saved to an
-//!    `spsep-oracle/v1` snapshot and reloaded answers every probe query
-//!    bit-identically to the freshly prepared oracle, on every graph
-//!    family, at 1/2/4/8 threads, and agrees with the Dijkstra oracle.
-//! 2. **Batch determinism** — `Oracle::batch` (parallel across sources)
-//!    returns bit-identical answers at every thread count, and the
-//!    cache state it leaves behind is thread-count independent.
-//! 3. **Corruption robustness** — every entry of
-//!    [`spsep_testkit::snapshot_corruptions`] makes `Oracle::load`
-//!    return a typed [`SpsepError`], never panic (asserted under
-//!    `catch_unwind`), and never a usable oracle.
+//! The round-trip bit-identity contract lives in the root
+//! `tests/snapshot.rs`; corruption robustness in `tests/snapshot_v2.rs`.
 
 use rayon::with_max_threads;
-use spsep_baselines::dijkstra;
 use spsep_bench::families::Family;
-use spsep_core::{Algorithm, Oracle, SpsepError};
+use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
-use spsep_testkit::snapshot_corruptions;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const N_TARGET: usize = 240;
 const SEED: u64 = 18;
 
-fn prepare_family(family: Family, algo: Algorithm) -> Oracle {
-    let (g, tree) = family.instance(N_TARGET, SEED);
-    Oracle::prepare(g, tree, algo, &Metrics::new())
-        .unwrap_or_else(|e| panic!("{}: prepare failed: {e}", family.label()))
-}
-
-fn save(oracle: &Oracle) -> Vec<u8> {
-    let mut buf = Vec::new();
-    oracle.save(&mut buf).expect("save to a Vec cannot fail");
-    buf
-}
-
-#[test]
-fn reloaded_oracle_is_bit_identical_to_fresh_at_every_thread_count() {
-    for family in Family::all() {
-        let fresh = prepare_family(family, Algorithm::LeavesUp);
-        let snapshot = save(&fresh);
-        let n = fresh.n();
-        let metrics = Metrics::new();
-        let probes = [0, n / 3, n / 2, n - 1];
-
-        // Reference rows from the fresh oracle, plus the Dijkstra
-        // cross-check (nonnegative weights in every family).
-        let mut reference: Vec<Vec<f64>> = Vec::new();
-        for &s in &probes {
-            let row = fresh.source_table(s, &metrics).unwrap();
-            let oracle_dist = dijkstra(fresh.graph(), s).dist;
-            for v in 0..n {
-                assert!(
-                    (row[v] - oracle_dist[v]).abs() < 1e-9
-                        || (row[v].is_infinite() && oracle_dist[v].is_infinite()),
-                    "{}: source {s} vertex {v}: fresh {} vs dijkstra {}",
-                    family.label(),
-                    row[v],
-                    oracle_dist[v]
-                );
-            }
-            reference.push(row.to_vec());
-        }
-
-        for threads in THREAD_COUNTS {
-            let rows = with_max_threads(threads, || {
-                let served = Oracle::load(snapshot.as_slice())
-                    .unwrap_or_else(|e| panic!("{}: load failed: {e}", family.label()));
-                probes
-                    .iter()
-                    .map(|&s| served.source_table(s, &metrics).unwrap().to_vec())
-                    .collect::<Vec<_>>()
-            });
-            for (i, (row_ref, row_got)) in reference.iter().zip(&rows).enumerate() {
-                for v in 0..n {
-                    assert_eq!(
-                        row_ref[v].to_bits(),
-                        row_got[v].to_bits(),
-                        "{} at {threads} threads: probe {i} vertex {v}",
-                        family.label()
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn batch_is_deterministic_across_thread_counts_including_cache_state() {
-    let fresh = prepare_family(Family::Grid2D, Algorithm::PathDoubling);
-    let snapshot = save(&fresh);
+    let (g, tree) = Family::Grid2D.instance(N_TARGET, SEED);
+    let fresh = Oracle::prepare(g, tree, Algorithm::PathDoubling, &Metrics::new()).unwrap();
+    let mut snapshot = Vec::new();
+    fresh
+        .save_v2(&mut snapshot)
+        .expect("save_v2 to a Vec cannot fail");
     let n = fresh.n();
     // More distinct sources than default probes, interleaved targets.
     let pairs: Vec<(usize, usize)> = (0..64).map(|i| (i * 7 % n, i * 13 % n)).collect();
@@ -124,64 +57,6 @@ fn batch_is_deterministic_across_thread_counts_including_cache_state() {
                     "cache counters depend on thread count"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn every_snapshot_corruption_is_a_typed_error_never_a_panic() {
-    // An instance with at least one edge and one shortcut (the
-    // catalog's documented precondition) — the 3D grid produces a rich
-    // E⁺ even at small n.
-    let fresh = prepare_family(Family::Grid3D, Algorithm::LeavesUp);
-    let snapshot = save(&fresh);
-    assert!(
-        fresh.stats().eplus_edges > 0,
-        "catalog precondition: instance must have shortcuts"
-    );
-
-    for corruption in snapshot_corruptions() {
-        let bad = (corruption.apply)(&snapshot);
-        assert_ne!(
-            bad, snapshot,
-            "{}: corruption did not change the bytes",
-            corruption.name
-        );
-        let outcome = std::panic::catch_unwind(|| Oracle::load(bad.as_slice()));
-        match outcome {
-            Ok(Err(err)) => {
-                // Typed taxonomy only — parse/IO damage or a semantic
-                // patch caught by the validators.
-                assert!(
-                    matches!(
-                        err,
-                        SpsepError::Parse { .. }
-                            | SpsepError::Io { .. }
-                            | SpsepError::InvalidGraph { .. }
-                            | SpsepError::InvalidDecomposition { .. }
-                    ),
-                    "{}: unexpected error kind: {err:?}",
-                    corruption.name
-                );
-                // Errors must render without panicking, too.
-                let _ = err.to_string();
-            }
-            Ok(Ok(_)) => panic!("{}: corrupted snapshot loaded successfully", corruption.name),
-            Err(_) => panic!("{}: load panicked", corruption.name),
-        }
-    }
-}
-
-#[test]
-fn truncation_at_every_byte_is_a_typed_error() {
-    // Exhaustive truncation sweep on a small instance: the catalog
-    // spot-checks depths, this covers every prefix.
-    let fresh = prepare_family(Family::Tree, Algorithm::LeavesUp);
-    let snapshot = save(&fresh);
-    for cut in 0..snapshot.len() {
-        match Oracle::load(&snapshot[..cut]) {
-            Err(_) => {}
-            Ok(_) => panic!("prefix of {cut} bytes loaded as a full snapshot"),
         }
     }
 }

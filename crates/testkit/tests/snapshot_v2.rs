@@ -8,13 +8,13 @@
 //!    oracle.
 //! 2. **Truncation sweep** — a cut at *every* header/table byte and at
 //!    every slab page boundary (±1) is a typed error.
-//! 3. **Version skew** — v1 bytes relabeled v2 and v2 bytes relabeled
-//!    v1 both fail with typed errors, in whichever parser the version
-//!    word routes them to.
-//! 4. **Lazy tree boundary** — a checksum-consistent semantic patch of
-//!    the TREE slab (which the v2 reader deliberately does not decode)
-//!    loads fine, answers bit-identically, and then fails with a typed
-//!    error at `save` — the first operation that decodes the tree.
+//! 3. **Version skew** — a v1-layout file relabeled v2 and v2 bytes
+//!    relabeled as a future version both fail with typed errors.
+//! 4. **Re-prepare errors** — an `spsep-oracle/v1` file and a file in
+//!    the older 14-section v2 layout (trailing `TREE` section) are
+//!    refused by `Oracle::load` and `Oracle::load_path` with a
+//!    [`SpsepError::Parse`] that names what was found and says to
+//!    re-run `spsep-cli prepare`.
 //! 5. **Daemon on v2** — a live daemon serving an mmapped v2 snapshot
 //!    answers bit-identically to the in-memory oracle, and a corrupted
 //!    snapshot can never boot a daemon in the first place.
@@ -23,7 +23,9 @@ use spsep_core::{Algorithm, Oracle, SpsepError};
 use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
 use spsep_serve::{Client, Request, Response, ServeConfig, Server};
-use spsep_testkit::{snapshot_corruptions_v2, v2_section_bounds, v2_tree_semantic_patch};
+use spsep_testkit::{
+    snapshot_corruptions_v2, v1_snapshot_header, v2_section_bounds, v2_with_trailing_tree_section,
+};
 use std::panic::resume_unwind;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
@@ -65,12 +67,6 @@ fn grid_oracle(dims: [usize; 2], seed: u64) -> Oracle {
 fn save_v2(oracle: &Oracle) -> Vec<u8> {
     let mut buf = Vec::new();
     oracle.save_v2(&mut buf).expect("save_v2 to a Vec cannot fail");
-    buf
-}
-
-fn save_v1(oracle: &Oracle) -> Vec<u8> {
-    let mut buf = Vec::new();
-    oracle.save(&mut buf).expect("save to a Vec cannot fail");
     buf
 }
 
@@ -123,7 +119,7 @@ fn truncation_at_every_header_byte_and_slab_boundary_is_a_typed_error() {
     let snapshot = save_v2(&fresh);
 
     // Every byte of the fixed header + section table region…
-    let header_end = 24 + 14 * 32;
+    let header_end = 24 + 13 * 32;
     let mut cuts: Vec<usize> = (0..=header_end).collect();
     // …every slab boundary (start and end of every section, ±1)…
     for (off, len) in v2_section_bounds(&snapshot) {
@@ -157,54 +153,55 @@ fn truncation_at_every_header_byte_and_slab_boundary_is_a_typed_error() {
 
 #[test]
 fn version_skew_both_directions_is_a_typed_error() {
-    let fresh = grid_oracle([6, 6], 23);
+    let v2 = save_v2(&grid_oracle([6, 6], 23));
 
-    // v1 bytes relabeled v2: routed to the v2 parser, which rejects.
-    let mut v1_as_v2 = save_v1(&fresh);
+    // A v1-layout file relabeled v2: the v2 reader rejects it.
+    let mut v1_as_v2 = v1_snapshot_header(&v2);
     v1_as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
     let Err(err) = Oracle::load(v1_as_v2.as_slice()) else {
         panic!("v1 bytes relabeled v2 loaded successfully");
     };
     assert_typed(err, "v1 relabeled v2");
 
-    // v2 bytes relabeled v1: routed to the v1 parser, which rejects.
-    let mut v2_as_v1 = save_v2(&fresh);
-    v2_as_v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let Err(err) = Oracle::load(v2_as_v1.as_slice()) else {
-        panic!("v2 bytes relabeled v1 loaded successfully");
+    // v2 bytes relabeled as a future version.
+    let mut future = v2;
+    future[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let Err(err) = Oracle::load(future.as_slice()) else {
+        panic!("v2 bytes relabeled v3 loaded successfully");
     };
-    assert_typed(err, "v2 relabeled v1");
+    assert_typed(err, "v2 relabeled v3");
 }
 
 #[test]
-fn tree_patch_loads_answers_identically_then_fails_at_save() {
-    let fresh = grid_oracle([8, 8], 24);
-    let snapshot = save_v2(&fresh);
-    let patched = v2_tree_semantic_patch(&snapshot);
-    assert_ne!(patched, snapshot);
-
-    // The v2 reader does not decode the tree: the patch loads.
-    let served = Oracle::load(patched.as_slice())
-        .expect("a TREE-only semantic patch must load (the tree is opaque at load time)");
-
-    // Query answers never touch the tree bytes — still bit-identical.
-    let metrics = Metrics::new();
-    let n = fresh.n();
-    for s in [0, n / 2, n - 1] {
-        let want = fresh.source_table(s, &metrics).unwrap();
-        let got = served.source_table(s, &metrics).unwrap();
-        for v in 0..n {
-            assert_eq!(want[v].to_bits(), got[v].to_bits(), "source {s} vertex {v}");
+fn older_snapshots_are_refused_with_a_re_prepare_error() {
+    let v2 = save_v2(&grid_oracle([6, 6], 24));
+    let dir = std::env::temp_dir().join(format!("spsep-v2-reprepare-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("spsep-oracle/v1", v1_snapshot_header(&v2)),
+        ("14-section", v2_with_trailing_tree_section(&v2)),
+    ];
+    for (found, bytes) in cases {
+        let path = dir.join("old.sps");
+        std::fs::write(&path, &bytes).unwrap();
+        let loads = [
+            std::panic::catch_unwind(|| Oracle::load(bytes.as_slice())),
+            std::panic::catch_unwind(|| Oracle::load_path(&path)),
+        ];
+        for outcome in loads {
+            match outcome {
+                Ok(Err(err @ SpsepError::Parse { .. })) => {
+                    let msg = err.to_string();
+                    assert!(msg.contains(found), "{found}: message names the find: {msg}");
+                    assert!(msg.contains("re-run `spsep-cli prepare`"), "{found}: {msg}");
+                }
+                Ok(Err(err)) => panic!("{found}: expected a parse error, got {err:?}"),
+                Ok(Ok(_)) => panic!("{found}: an older snapshot loaded"),
+                Err(_) => panic!("{found}: load panicked"),
+            }
         }
     }
-
-    // Re-exporting to v1 decodes the tree — the damage surfaces as a
-    // typed error there, not as a panic and not silently.
-    let mut sink = Vec::new();
-    match served.save(&mut sink) {
-        Err(err) => assert_typed(err, "save after TREE patch"),
-        Ok(()) => panic!("saving a patched tree succeeded"),
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

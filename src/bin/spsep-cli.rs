@@ -24,7 +24,7 @@
 //!
 //! `prepare` + `serve` are the deployment mode the paper's cost model
 //! targets: run the expensive Sections 3–5 preprocessing once, persist
-//! the result as a versioned `spsep-oracle/v1` snapshot, then serve any
+//! the result as a versioned `spsep-oracle/v2` snapshot, then serve any
 //! number of cheap scheduled queries from it (DESIGN.md §10). Query
 //! files hold one query per line: `p <u> <v>` for a point-to-point
 //! distance, `s <u>` for a full single-source table, `c ...` comments
@@ -150,14 +150,13 @@ struct Args {
     load_out: Option<String>,
     json_out: Option<String>,
     shutdown_after: bool,
-    format: String,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: spsep-cli <info|tree|sssp|reach|prepare> <graph.gr|.csv|csr-dir> \
          [-s source] [-a 41|43|44] [-b auto|bfs|centroid|planar] [-t tree.st] [-o out] \
-         [--format v1|v2] [--print-dists]\n\
+         [--print-dists]\n\
          \x20      spsep-cli import <raw.gr|.csv|csr-dir> -o <out.gr> \
          [--keep-all] [--normalize]\n\
          \x20       [--metrics] [--metrics-out m.json] [--trace] [--trace-out t.json]\n\
@@ -216,7 +215,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         load_out: None,
         json_out: None,
         shutdown_after: false,
-        format: "v2".into(),
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -329,13 +327,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(usage)?,
                 )
-            }
-            "--format" => {
-                args.format = match argv.next().as_deref() {
-                    Some("v1") => "v1".into(),
-                    Some("v2") => "v2".into(),
-                    _ => return Err(usage()),
-                }
             }
             "--verify" => args.verify = Some(argv.next().ok_or_else(usage)?),
             "--load-out" => args.load_out = Some(argv.next().ok_or_else(usage)?),
@@ -588,9 +579,8 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx.min(sorted_ns.len() - 1)] as f64 / 1000.0
 }
 
-/// Load an `spsep-oracle` snapshot (v2 is memory-mapped and borrowed
-/// zero-copy; v1 is streamed and decoded) and apply the `--cache`
-/// override.
+/// Load an `spsep-oracle/v2` snapshot (memory-mapped and borrowed
+/// zero-copy) and apply the `--cache` override.
 fn load_snapshot(args: &Args) -> Result<Oracle, String> {
     let snap_path = &args.graph_path;
     let t0 = std::time::Instant::now();
@@ -601,16 +591,11 @@ fn load_snapshot(args: &Args) -> Result<Oracle, String> {
         oracle.set_cache_capacity(capacity);
     }
     println!(
-        "loaded {snap_path}: n = {}, m = {}, |E+| = {}, algo = {:?}, {} {load_ms:.1} ms",
+        "loaded {snap_path}: n = {}, m = {}, |E+| = {}, algo = {:?}, (v2, mmap) {load_ms:.1} ms",
         oracle.n(),
         oracle.m(),
         oracle.stats().eplus_edges,
         oracle.algo(),
-        if oracle.is_slab_backed() {
-            "(v2, mmap)"
-        } else {
-            "(v1, decoded)"
-        }
     );
     Ok(oracle)
 }
@@ -1207,10 +1192,10 @@ fn run() -> Result<(), String> {
             let tree = obtain_tree(&g, &args)?;
             let t0 = std::time::Instant::now();
             let (n, m) = (g.n(), g.m());
-            let oracle = Oracle::prepare(g, tree.clone(), args.algo, &metrics)
-                .map_err(|e| e.to_string())?;
+            let oracle =
+                Oracle::prepare(g, tree, args.algo, &metrics).map_err(|e| e.to_string())?;
             let prepare_ms = t0.elapsed().as_secs_f64() * 1e3;
-            ledger = Some(work_ledger(&tree, args.algo, &metrics.report(), None));
+            ledger = oracle.ledger().cloned();
             // Sidecar for the daemon's telemetry plane: `serve --listen`
             // reads `<snapshot>.ledger` and exports the Theorem 4.1/5.1
             // envelopes as gauges.
@@ -1220,11 +1205,7 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("cannot write {sidecar}: {e}"))?;
             }
             let mut buf = Vec::new();
-            if args.format == "v1" {
-                oracle.save(&mut buf).map_err(|e| e.to_string())?;
-            } else {
-                oracle.save_v2(&mut buf).map_err(|e| e.to_string())?;
-            }
+            oracle.save_v2(&mut buf).map_err(|e| e.to_string())?;
             std::fs::write(&out_path, &buf)
                 .map_err(|e| format!("cannot write {out_path}: {e}"))?;
             println!(
@@ -1233,8 +1214,7 @@ fn run() -> Result<(), String> {
                 oracle.algo()
             );
             println!(
-                "snapshot ({}): {} bytes → {out_path} ({prepare_ms:.1} ms preprocessing)",
-                args.format,
+                "snapshot (v2): {} bytes → {out_path} ({prepare_ms:.1} ms preprocessing)",
                 buf.len()
             );
         }

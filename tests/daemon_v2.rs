@@ -1,33 +1,37 @@
-//! End-to-end `spsep-oracle/v2` serving: `spsep-cli prepare --format v2`
-//! produces one slab snapshot, TWO independent `spsep-cli serve`
-//! daemons mmap that same file concurrently, and both must answer an
-//! identical query stream bit-for-bit — matching each other *and* an
-//! in-process oracle loaded from the legacy v1 snapshot of the same
-//! instance. This is the operational payoff of the v2 format: many
-//! server processes sharing one physical copy of the oracle through
-//! the page cache, with zero answer drift across format or process
-//! boundaries. A chaos load run (`spsep-cli load --verify`) then
-//! hammers one of the daemons and must report zero mismatches.
+//! End-to-end `spsep-oracle/v2` serving: `spsep-cli prepare` produces
+//! one slab snapshot, TWO independent `spsep-cli serve` daemons mmap
+//! that same file concurrently, and both must answer an identical query
+//! stream bit-for-bit — matching each other *and* an oracle prepared in
+//! process from the same graph and tree, with no snapshot in between.
+//! This is the operational payoff of the v2 format: many server
+//! processes sharing one physical copy of the oracle through the page
+//! cache, with zero answer drift across process boundaries. A chaos
+//! load run (`spsep-cli load --verify`) then hammers one of the daemons
+//! and must report zero mismatches.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use spsep::core::Oracle;
+use spsep::core::{Algorithm, Oracle};
+use spsep::graph::DiGraph;
 use spsep::pram::Metrics;
+use spsep::separator::{builders, RecursionLimits, SepTree};
 use spsep::serve::{Client, Request, Response};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spsep-cli"))
 }
 
+const DIMS: [usize; 2] = [12, 12];
+
 /// A grid big enough that distance tables exercise real scheduling,
 /// written as 1-based DIMACS the way `spsep-cli` reads it.
-fn write_grid_graph(dir: &std::path::Path) -> (std::path::PathBuf, usize) {
+fn write_grid_graph(dir: &std::path::Path) -> (std::path::PathBuf, DiGraph<f64>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(42);
-    let (g, _) = spsep::graph::generators::grid(&[12, 12], &mut rng);
+    let (g, _) = spsep::graph::generators::grid(&DIMS, &mut rng);
     let path = dir.join("grid.gr");
     let mut buf = Vec::new();
     spsep::graph::io::write_dimacs(&g, &mut buf).unwrap();
@@ -35,7 +39,18 @@ fn write_grid_graph(dir: &std::path::Path) -> (std::path::PathBuf, usize) {
         .unwrap()
         .write_all(&buf)
         .unwrap();
-    (path, g.n())
+    (path, g)
+}
+
+/// The geometric tree of the grid, written as a text tree file so
+/// `prepare -t` and the in-process reference use the same tree.
+fn write_grid_tree(dir: &std::path::Path) -> (std::path::PathBuf, SepTree) {
+    let tree = builders::grid_tree(&DIMS, RecursionLimits::default());
+    let path = dir.join("grid.st");
+    let mut buf = Vec::new();
+    spsep::separator::io::write_tree(&tree, &mut buf).unwrap();
+    std::fs::write(&path, &buf).unwrap();
+    (path, tree)
 }
 
 /// Spawn `spsep-cli serve --listen 127.0.0.1:0` on `snapshot` and wait
@@ -100,31 +115,30 @@ fn bits(resp: &Response) -> Vec<u64> {
 fn two_daemons_on_one_v2_snapshot_answer_bit_identically() {
     let dir = std::env::temp_dir().join("spsep-daemon-v2-test-1");
     std::fs::create_dir_all(&dir).unwrap();
-    let (graph, n) = write_grid_graph(&dir);
+    let (graph, g) = write_grid_graph(&dir);
+    let (tree_path, tree) = write_grid_tree(&dir);
+    let n = g.n();
 
-    // One instance, both snapshot formats.
-    let v1 = dir.join("grid.v1.sps");
     let v2 = dir.join("grid.v2.sps");
-    for (path, format) in [(&v1, "v1"), (&v2, "v2")] {
-        let out = cli()
-            .arg("prepare")
-            .arg(&graph)
-            .arg("-o")
-            .arg(path)
-            .args(["--format", format])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    }
+    let out = cli()
+        .arg("prepare")
+        .arg(&graph)
+        .arg("-t")
+        .arg(&tree_path)
+        .arg("-o")
+        .arg(&v2)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     // Two independent daemon processes mmap the SAME v2 file.
     let (mut daemon_a, addr_a, out_a) = spawn_daemon(&v2);
     let (mut daemon_b, addr_b, out_b) = spawn_daemon(&v2);
 
-    // The cross-format truth: an in-process oracle decoded from v1.
-    let truth = Oracle::load_path(&v1).unwrap();
-    assert!(!truth.is_slab_backed(), "v1 loads by decoding, not mapping");
+    // The snapshot-free truth: the same graph and tree prepared in
+    // process.
     let metrics = Metrics::new();
+    let truth = Oracle::prepare(g, tree, Algorithm::LeavesUp, &metrics).unwrap();
 
     let timeout = Duration::from_secs(30);
     let mut client_a = Client::connect(addr_a.as_str(), timeout).unwrap();
@@ -138,14 +152,14 @@ fn two_daemons_on_one_v2_snapshot_answer_bit_identically() {
             bits(&rb),
             "daemons on the same v2 file diverged on {req:?}"
         );
-        // Spot-check the daemons against the v1-decoded oracle too:
-        // format must not change a single bit of any answer.
+        // Spot-check the daemons against the in-process oracle too: the
+        // snapshot must not change a single bit of any answer.
         if let Request::Source { source } = req {
             let want = truth.source_table(source as usize, &metrics).unwrap();
             let got = bits(&ra);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
-                assert_eq!(*g, w.to_bits(), "v2-served table diverged from v1 oracle");
+                assert_eq!(*g, w.to_bits(), "v2-served table diverged from the fresh oracle");
             }
         }
     }
@@ -169,7 +183,7 @@ fn two_daemons_on_one_v2_snapshot_answer_bit_identically() {
 fn chaos_load_against_a_v2_daemon_has_zero_mismatches() {
     let dir = std::env::temp_dir().join("spsep-daemon-v2-test-2");
     std::fs::create_dir_all(&dir).unwrap();
-    let (graph, _n) = write_grid_graph(&dir);
+    let (graph, _g) = write_grid_graph(&dir);
 
     let v2 = dir.join("grid.v2.sps");
     let out = cli()
@@ -177,7 +191,6 @@ fn chaos_load_against_a_v2_daemon_has_zero_mismatches() {
         .arg(&graph)
         .arg("-o")
         .arg(&v2)
-        .args(["--format", "v2"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
