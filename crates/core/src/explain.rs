@@ -4,8 +4,13 @@
 //! yields a path **in `G⁺`** from `u` to `v` of the promised shape:
 //!
 //! ```text
-//! ≤ l original edges │ bitonic shortcut section │ ≤ l original edges
+//! entry: ≤ l original edges │ bitonic shortcut section │ exit: ≤ l original edges
 //! ```
+//!
+//! The entry hops leave level-∞ vertices and the exit hops enter them;
+//! the middle section touches none (the schedule's entry and exit
+//! buckets hold exactly those arcs — DESIGN.md §5). So the middle
+//! section is the witness's run of defined-level vertices.
 //!
 //! [`Explanation`] carries the hop sequence with each hop's kind
 //! (original edge vs `E⁺` shortcut) and level, reports bitonicity of
@@ -139,19 +144,12 @@ pub fn explain<S: Semiring>(
     hops_rev.reverse();
     let hops = hops_rev;
     let stats = pre.stats();
-    // Bitonicity of the *middle* section: the first and last ≤ l hops
-    // come from the entry/exit E-phases and may have arbitrary levels
-    // (exactly the path shape of Theorem 3.1's proof). Vertex levels =
-    // source level followed by each hop's to-level.
-    let mut levels: Vec<u32> = Vec::with_capacity(hops.len() + 1);
-    levels.push(pre.levels()[source]);
-    levels.extend(hops.iter().map(|h| h.level_to));
-    let l = stats.leaf_bound;
-    let lo = l.min(levels.len().saturating_sub(1));
-    let hi = levels.len().saturating_sub(1 + l).max(lo);
-    let middle: Vec<u32> = levels[lo..=hi]
-        .iter()
-        .copied()
+    // Bitonicity of the *middle* section: its vertices are exactly the
+    // defined-level ones, since entry hops leave level-∞ vertices and
+    // exit hops enter them. Vertex levels = source level followed by
+    // each hop's to-level.
+    let middle: Vec<u32> = std::iter::once(pre.levels()[source])
+        .chain(hops.iter().map(|h| h.level_to))
         .filter(|&x| x != u32::MAX)
         .collect();
     Some(Explanation {

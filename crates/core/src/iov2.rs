@@ -67,9 +67,11 @@
 //!
 //! Files from older builds are refused with a typed
 //! [`SpsepError::Parse`] that says to re-run `spsep-cli prepare`:
-//! `spsep-oracle/v1` snapshots (version word 1) and the earlier v2
+//! `spsep-oracle/v1` snapshots (version word 1), the earlier v2
 //! layout of 14 sections, which carried the tree as a trailing `TREE`
-//! section.
+//! section, and the earlier bucket layout of `3(d_G+1)+1` buckets,
+//! whose one `E` bucket served both the entry and the exit phases
+//! (this build writes `3(d_G+1)+2`: separate entry and exit buckets).
 //!
 //! # Load-time validation
 //!
@@ -546,11 +548,23 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
     let seq_len = to_usize(mr.u64("sequence length")?, "sequence length")?;
     mr.expect_exhausted("META payload")?;
 
-    // Structural cross-checks that pin the compiled shape to d_G.
-    if num_buckets != 3 * (d_g as usize + 1) + 1 {
+    // Structural cross-checks that pin the compiled shape to d_G: three
+    // level buckets per level, then the entry and exit buckets.
+    let level_buckets = 3 * (d_g as usize + 1);
+    if num_buckets == level_buckets + 1 {
+        // Earlier builds scanned one bucket holding all of E in both
+        // the entry and the exit phases.
+        return Err(SpsepError::parse(format!(
+            "found the older bucket layout with one E bucket for the entry and exit \
+             phases ({num_buckets} buckets; this build expects {} for d_G = {d_g}); \
+             {REPREPARE}",
+            level_buckets + 2
+        )));
+    }
+    if num_buckets != level_buckets + 2 {
         return Err(SpsepError::parse(format!(
             "bucket count {num_buckets} inconsistent with d_G = {d_g} (expected {})",
-            3 * (d_g as usize + 1) + 1
+            level_buckets + 2
         )));
     }
     if total_phases != 2 * leaf_bound + 4 * d_g as usize + 1 {

@@ -15,8 +15,9 @@
 //! 3. **Query** ([`Preprocessed::distances`] /
 //!    [`Preprocessed::distances_multi`]): scheduled Bellman–Ford, scanning
 //!    each edge class only in the phases the bitonic structure needs —
-//!    `O(l·|E| + |E ∪ E⁺|)` work per source instead of
-//!    `O(|E ∪ E⁺|·d_G)`.
+//!    `O(l·|E_∞| + |E ∪ E⁺|)` work per source instead of
+//!    `O(|E ∪ E⁺|·d_G)`, where `E_∞ ⊆ E` are the arcs with an endpoint
+//!    in no separator (the only arcs the `2l` entry/exit phases scan).
 //! 4. Optionally recover shortest-path **trees** over the original edges
 //!    ([`query::shortest_path_tree`]) — paper comment (ii).
 //!

@@ -2,7 +2,8 @@
 //!
 //! The paper's cost model (Table 1) splits the problem into an expensive
 //! **preprocessing** stage (build `E⁺`, Sections 3–5) and a cheap
-//! **query** stage (`O(l·|E| + |E ∪ E⁺|)` work per source, Section 3.2).
+//! **query** stage (`O(l·|E_∞| + |E ∪ E⁺|)` work per source, Section 3.2,
+//! with `E_∞` the arcs touching a level-∞ vertex).
 //! That split only pays off if the preprocessing can be amortized over
 //! many queries — which is exactly what [`Oracle`] packages:
 //!
@@ -377,8 +378,9 @@ impl Oracle {
     /// [`SpsepError::Io`] on read failure; [`SpsepError::Parse`] on any
     /// corruption (bad magic, version skew, checksum mismatch,
     /// truncation, semantic damage caught by the section validators)
-    /// and on snapshots from older builds (`spsep-oracle/v1`, or the
-    /// earlier 14-section v2 layout), whose message says to re-run
+    /// and on snapshots from older builds (`spsep-oracle/v1`, the
+    /// earlier 14-section v2 layout, or the earlier bucket layout with
+    /// one `E` bucket), whose message says to re-run
     /// `spsep-cli prepare`; [`SpsepError::InvalidGraph`] if the CSR
     /// arrays are inconsistent.
     pub fn load<R: Read>(mut input: R) -> Result<Oracle, SpsepError> {

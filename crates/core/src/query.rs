@@ -156,7 +156,8 @@ impl<S: Semiring> Preprocessed<S> {
             .collect()
     }
 
-    /// Per-source arc-scan bound of the schedule (`O(l·|E| + |E ∪ E⁺|)`).
+    /// Arcs one scheduled query scans (`O(l·|E_∞| + |E ∪ E⁺|)`, with
+    /// `E_∞` the arcs touching a level-∞ vertex).
     pub fn arcs_per_query(&self) -> u64 {
         self.schedule.arcs_per_run()
     }

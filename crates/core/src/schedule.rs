@@ -4,21 +4,27 @@
 //! of the form
 //!
 //! ```text
-//! ≤ l original edges │ bitonic-level shortcut section │ ≤ l original edges
+//! entry: ≤ l arcs of E │ bitonic-level section │ exit: ≤ l arcs of E
 //! ```
 //!
 //! where the levels of the middle section first do not increase and then
-//! do not decrease, with at most two consecutive equal levels. It
+//! do not decrease, with at most two consecutive equal levels. The entry
+//! part ends at the path's first vertex of defined level, so each of its
+//! arcs leaves a level-∞ vertex; the exit part starts at the last such
+//! vertex, so each of its arcs enters a level-∞ vertex; the middle never
+//! touches a level-∞ vertex (the confinement lemma, DESIGN.md §5). It
 //! therefore suffices to run `2l + 4·d_G + 1` Bellman–Ford phases that
 //! each scan only the edge class the structure can use next:
 //!
-//! * `l` phases over all original edges `E` (entry segment);
+//! * `l` phases over the *entry* bucket: arcs of `E` whose source has
+//!   level ∞;
 //! * descending phases `i = 1 … 2d_G+1`: odd `i` scans *same-level* edges
 //!   at level `d_G − (i−1)/2`, even `i` scans *down* edges leaving level
 //!   `d_G − i/2 + 1`;
 //! * ascending phases `i = 1 … 2d_G`: odd `i` scans *up* edges leaving
 //!   level `(i−1)/2`, even `i` scans same-level edges at level `i/2`;
-//! * `l` phases over `E` again (exit segment).
+//! * `l` phases over the *exit* bucket: arcs of `E` whose target has
+//!   level ∞.
 //!
 //! (The published text's even-descending formula is OCR-garbled; we use
 //! the mirror image of the ascending rule — see DESIGN.md §5 — and tests
@@ -28,11 +34,13 @@
 //! a bucket stores its arcs grouped by target, plus the distinct source
 //! list; a phase gathers source distances into a scratch vector and then
 //! reduces each target group independently. Work per source is
-//! `O(l·|E| + |E ∪ E⁺|)` — the bound of Section 3.2.
+//! `O(l·|E_∞| + |E ∪ E⁺|)`, where `E_∞ ⊆ E` are the arcs with a level-∞
+//! endpoint — at most the `O(l·|E| + |E ∪ E⁺|)` bound of Section 3.2.
 
 use spsep_graph::slab::Pod;
 use spsep_graph::{Edge, Semiring, Store};
 use spsep_pram::{Counter, Metrics};
+use spsep_separator::UNDEFINED_LEVEL;
 
 /// One per-target reduction group: arcs
 /// `arcs[start..end]` all enter `target`.
@@ -181,9 +189,8 @@ pub struct Schedule<S: Semiring> {
 /// Classify an augmented edge by the level relation of its endpoints.
 fn classify(l1: u32, l2: u32, d_g: u32) -> Option<usize> {
     // Bucket layout: for λ in 0..=d_g — Same(λ)=3λ, Down(λ)=3λ+1, Up(λ)=3λ+2.
-    let undef = u32::MAX;
-    if l1 == undef || l2 == undef {
-        return None; // only reachable through the entry/exit E phases
+    if l1 == UNDEFINED_LEVEL || l2 == UNDEFINED_LEVEL {
+        return None; // only reachable through the entry/exit phases
     }
     debug_assert!(l1 <= d_g && l2 <= d_g);
     let slot = match l1.cmp(&l2) {
@@ -211,16 +218,23 @@ impl<S: Semiring> Schedule<S> {
         rank: &[u32],
     ) -> Schedule<S> {
         debug_assert_eq!(rank.len(), n);
-        // Raw arcs per level bucket (3 per level) + the E bucket at the end.
-        // Edge ids: base edges are 0..|E|, shortcuts follow.
+        // Raw arcs per level bucket (3 per level), then the entry and
+        // exit buckets. Edge ids: base edges are 0..|E|, shortcuts follow.
         let level_buckets = 3 * (d_g as usize + 1);
+        let (entry, exit) = (level_buckets, level_buckets + 1);
         type RawArcs<W> = Vec<Vec<(u32, u32, u32, W)>>;
-        let mut raw: RawArcs<S::W> = vec![Vec::new(); level_buckets + 1];
-        let e_bucket = level_buckets;
+        let mut raw: RawArcs<S::W> = vec![Vec::new(); level_buckets + 2];
         for (id, e) in base.iter().enumerate() {
-            raw[e_bucket].push((e.from, e.to, id as u32, e.w));
-            if let Some(b) = classify(levels[e.from as usize], levels[e.to as usize], d_g) {
-                raw[b].push((e.from, e.to, id as u32, e.w));
+            let arc = (e.from, e.to, id as u32, e.w);
+            let (lf, lt) = (levels[e.from as usize], levels[e.to as usize]);
+            if lf == UNDEFINED_LEVEL {
+                raw[entry].push(arc);
+            }
+            if lt == UNDEFINED_LEVEL {
+                raw[exit].push(arc);
+            }
+            if let Some(b) = classify(lf, lt, d_g) {
+                raw[b].push(arc);
             }
         }
         for (i, e) in eplus.iter().enumerate() {
@@ -241,7 +255,7 @@ impl<S: Semiring> Schedule<S> {
             }
         };
         for _ in 0..l {
-            push(e_bucket, &mut sequence);
+            push(entry, &mut sequence);
         }
         // Descending: i = 1..=2d_g+1.
         for i in 1..=(2 * d_g as usize + 1) {
@@ -264,7 +278,7 @@ impl<S: Semiring> Schedule<S> {
             }
         }
         for _ in 0..l {
-            push(e_bucket, &mut sequence);
+            push(exit, &mut sequence);
         }
         let max_sources = buckets.iter().map(|b| b.sources.len()).max().unwrap_or(0);
         let total_phases = 2 * l + 4 * d_g as usize + 1;
@@ -277,8 +291,8 @@ impl<S: Semiring> Schedule<S> {
         }
     }
 
-    /// The compiled buckets (level classes plus the trailing `E`
-    /// bucket), exposed for serialization and inspection.
+    /// The compiled buckets (level classes, then the entry and exit
+    /// buckets), exposed for serialization and inspection.
     pub fn buckets(&self) -> &[Bucket<S::W>] {
         &self.buckets
     }
@@ -553,13 +567,11 @@ mod tests {
 
     #[test]
     fn trivial_schedule_runs() {
-        // Path 0→1→2 with all vertices level 0 (degenerate tree of height 0
-        // can't arise, but the schedule must still behave).
-        let base = vec![
-            Edge::new(0usize, 1usize, 1.0f64),
-            Edge::new(1, 2, 2.0),
-        ];
-        let levels = vec![0u32, 0, 0];
+        // Path 0→1→2 inside a single leaf: every vertex has level ∞, so
+        // the entry and exit buckets are all of E and the schedule
+        // reduces to 2l rounds of plain Bellman–Ford.
+        let base = vec![Edge::new(0usize, 1usize, 1.0f64), Edge::new(1, 2, 2.0)];
+        let levels = vec![UNDEFINED_LEVEL; 3];
         let sched = Schedule::<Tropical>::compile(3, &base, &[], &levels, 0, 2, &idrank(3));
         let (dist, relax) = sched.run_seq(0);
         assert_eq!(dist, vec![0.0, 1.0, 3.0]);
@@ -573,7 +585,7 @@ mod tests {
             Edge::new(1, 2, 2.0),
             Edge::new(0, 2, 10.0),
         ];
-        let levels = vec![0u32, 0, 0];
+        let levels = vec![UNDEFINED_LEVEL; 3];
         let sched = Schedule::<Tropical>::compile(3, &base, &[], &levels, 0, 3, &idrank(3));
         let (d0, _) = sched.run_seq(0);
         let (d1, parents) = sched.run_seq_parents(0);
@@ -594,17 +606,94 @@ mod tests {
     #[test]
     fn schedule_sequence_order_is_bitonic() {
         // With d_g = 1 and l = 1 the nominal sequence is:
-        // E | Same(1) Down(1) Same(0) | Up(0) Same(1) | E.
-        let base = vec![Edge::new(0usize, 1usize, 1.0f64)];
+        // Entry | Same(1) Down(1) Same(0) | Up(0) Same(1) | Exit.
+        // Vertex 2 has level ∞: 2→0 is an entry arc, 1→2 an exit arc.
+        let base = vec![
+            Edge::new(0usize, 1usize, 1.0f64), // levels 1→0: Down(1)
+            Edge::new(2, 0, 1.0),
+            Edge::new(1, 2, 1.0),
+        ];
         let eplus = vec![
             Edge::new(0usize, 1usize, 5.0f64), // levels 1→0: Down(1)
             Edge::new(1, 0, 5.0),              // 0→1: Up(0)
         ];
-        let levels = vec![1u32, 0];
-        let sched = Schedule::<Tropical>::compile(2, &base, &eplus, &levels, 1, 1, &idrank(2));
+        let levels = vec![1u32, 0, UNDEFINED_LEVEL];
+        let sched = Schedule::<Tropical>::compile(3, &base, &eplus, &levels, 1, 1, &idrank(3));
         assert_eq!(sched.total_phases(), 2 + 4 + 1);
         // Compiled sequence drops empty buckets; check relative order:
-        // E(=6), Down(1)(=4), Up(0)(=2), E(=6).
-        assert_eq!(sched.sequence(), &[6, 4, 2, 6]);
+        // Entry(=6), Down(1)(=4), Up(0)(=2), Exit(=7).
+        assert_eq!(sched.sequence(), &[6, 4, 2, 7]);
+    }
+
+    /// Edge ids held by a bucket, sorted.
+    fn bucket_ids(b: &Bucket<f64>) -> Vec<u32> {
+        let mut ids: Vec<u32> = b.arcs().iter().map(|a| a.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn entry_and_exit_buckets_hold_exactly_the_level_infinity_arcs() {
+        use rand::SeedableRng;
+        use spsep_separator::{builders, RecursionLimits};
+        let dims = [9usize, 11];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let (g, _) = spsep_graph::generators::grid(&dims, &mut rng);
+        let limits = RecursionLimits {
+            leaf_size: 12,
+            ..RecursionLimits::default()
+        };
+        let tree = builders::grid_tree(&dims, limits);
+        let pre = crate::preprocess::<Tropical>(
+            &g,
+            &tree,
+            crate::Algorithm::LeavesUp,
+            &spsep_pram::Metrics::new(),
+        )
+        .unwrap();
+        let sched = pre.schedule();
+        let levels = pre.levels();
+        let d_g = pre.stats().d_g as usize;
+        let l = pre.stats().leaf_bound as u64;
+        let level_buckets = 3 * (d_g + 1);
+        assert_eq!(sched.buckets().len(), level_buckets + 2);
+
+        let edges = g.edges();
+        let ids_where = |keep: &dyn Fn(&Edge<f64>) -> bool| -> Vec<u32> {
+            (0..edges.len() as u32)
+                .filter(|&id| keep(&edges[id as usize]))
+                .collect()
+        };
+        let entry = ids_where(&|e| levels[e.from as usize] == UNDEFINED_LEVEL);
+        let exit = ids_where(&|e| levels[e.to as usize] == UNDEFINED_LEVEL);
+        assert!(!entry.is_empty() && entry.len() < edges.len());
+        assert!(!exit.is_empty() && exit.len() < edges.len());
+        assert_eq!(bucket_ids(&sched.buckets()[level_buckets]), entry);
+        assert_eq!(bucket_ids(&sched.buckets()[level_buckets + 1]), exit);
+        // No level bucket holds an arc touching a level-∞ vertex.
+        for b in &sched.buckets()[..level_buckets] {
+            for &id in &bucket_ids(b) {
+                let e = &pre.augmented_edges()[id as usize];
+                assert!(
+                    levels[e.from as usize] != UNDEFINED_LEVEL
+                        && levels[e.to as usize] != UNDEFINED_LEVEL
+                );
+            }
+        }
+
+        // Never more work than the all-of-E entry/exit schedule:
+        // 2l·|E| plus the arcs of the level phases.
+        let level_arcs: u64 = sched
+            .sequence()
+            .iter()
+            .filter(|&&b| (b as usize) < level_buckets)
+            .map(|&b| sched.buckets()[b as usize].len() as u64)
+            .sum();
+        let all_of_e = 2 * l * edges.len() as u64 + level_arcs;
+        assert!(sched.arcs_per_run() <= all_of_e);
+        assert_eq!(
+            sched.arcs_per_run(),
+            l * (entry.len() + exit.len()) as u64 + level_arcs
+        );
     }
 }

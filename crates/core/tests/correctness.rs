@@ -4,13 +4,13 @@
 //! against independent baselines.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spsep_baselines::{bellman_ford, bellman_ford_semiring, dijkstra};
 use spsep_core::{analysis, preprocess, query, reach, Algorithm, Preprocessed};
-use spsep_graph::semiring::{Bottleneck, MaxPlus, Tropical};
+use spsep_graph::semiring::{Bottleneck, MaxPlus, Tropical, TropicalInt};
 use spsep_graph::{generators, DiGraph};
 use spsep_pram::Metrics;
-use spsep_separator::{builders, RecursionLimits, SepTree};
+use spsep_separator::{builders, RecursionLimits, SepTree, UNDEFINED_LEVEL};
 
 fn grid_tree_for(dims: &[usize]) -> SepTree {
     builders::grid_tree(dims, RecursionLimits::default())
@@ -149,6 +149,12 @@ fn theorem_3_1_diameter_bound() {
 }
 
 /// The scheduled Bellman–Ford equals exhaustive Bellman–Ford on `G⁺`.
+///
+/// Two more trees put most vertices at level ∞, so most of each path
+/// runs in the entry and exit phases: a single leaf (every vertex ∞)
+/// and leaves of at least 16 vertices. On those, exact integer
+/// arithmetic with negative arcs must match Bellman–Ford on `G` bit
+/// for bit, from every source.
 #[test]
 fn schedule_equals_unscheduled() {
     let mut rng = StdRng::seed_from_u64(105);
@@ -161,6 +167,43 @@ fn schedule_equals_unscheduled() {
         let (sched, _) = pre.distances_seq(s);
         let (full, _) = pre.distances_unscheduled(s, g.n()).unwrap();
         assert_dist_eq(&sched, &full, &format!("source {s}"));
+    }
+
+    // Integer weights skewed by integer potentials: negative arcs, no
+    // negative cycle.
+    let dims = [9usize, 10];
+    let (g, _) = generators::grid(&dims, &mut rng);
+    let n = g.n();
+    let pot: Vec<i64> = (0..n).map(|_| rng.gen_range(0..4000)).collect();
+    let g = g.map_weights(|e| (e.w * 1000.0) as i64 + pot[e.from as usize] - pot[e.to as usize]);
+    assert!(g.edges().iter().any(|e| e.w < 0));
+    for (what, leaf_size) in [("single leaf", n), ("leaves of at least 16 vertices", 24)] {
+        let limits = RecursionLimits {
+            leaf_size,
+            ..Default::default()
+        };
+        let tree = builders::grid_tree(&dims, limits);
+        tree.validate(&g.undirected_skeleton()).unwrap();
+        assert!(
+            tree.max_leaf_size() >= 16,
+            "{what}: largest leaf {}",
+            tree.max_leaf_size()
+        );
+        let pre = preprocess::<TropicalInt>(&g, &tree, Algorithm::LeavesUp, &metrics).unwrap();
+        let at_infinity = pre
+            .levels()
+            .iter()
+            .filter(|&&l| l == UNDEFINED_LEVEL)
+            .count();
+        assert!(
+            2 * at_infinity > n,
+            "{what}: {at_infinity} of {n} vertices at level ∞"
+        );
+        for s in 0..n {
+            let (sched, _) = pre.distances_seq(s);
+            let truth = bellman_ford_semiring::<TropicalInt>(&g, s).unwrap();
+            assert_eq!(sched, truth, "{what}: source {s}");
+        }
     }
 }
 

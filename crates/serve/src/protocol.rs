@@ -149,7 +149,9 @@ pub struct WireStats {
     pub accepted: u64,
     /// Connections shed by admission control (answered `Overloaded`).
     pub shed: u64,
-    /// Requests answered successfully.
+    /// Requests answered successfully, counted before the reply is
+    /// written (a reply whose write then fails still counts here and
+    /// in `io_errors`).
     pub served: u64,
     /// Error responses sent, by taxonomy code (parse, invalid_query,
     /// overloaded, shutting_down, internal — in that order).

@@ -685,11 +685,8 @@ fn serve_connection(shared: &Shared, conn: &mut Conn, worker: u32) -> ConnFate {
             Request::Shutdown => {
                 shared.draining.store(true, Ordering::SeqCst);
                 shared.available.notify_all();
+                count_served(shared, tel_on);
                 send(shared, stream, Response::ShutdownAck);
-                shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                if tel_on {
-                    shared.tel.served.inc();
-                }
                 return ConnFate::Closed;
             }
             ref q => match answer_query(&shared.oracle, q, &shared.metrics) {
@@ -724,15 +721,23 @@ fn serve_connection(shared: &Shared, conn: &mut Conn, worker: u32) -> ConnFate {
             hits,
             err_label,
         );
+        if !was_error {
+            count_served(shared, tel_on);
+        }
         if !send(shared, stream, resp) {
             return ConnFate::Closed;
         }
-        if !was_error {
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            if tel_on {
-                shared.tel.served.inc();
-            }
-        }
+    }
+}
+
+/// Count one successful answer. Called after the response is built and
+/// before it is written: a client holding the reply must see it counted
+/// by any scrape it sends next (a scrape's own rendering does not count
+/// itself, since its response is built first).
+fn count_served(shared: &Shared, tel_on: bool) {
+    shared.stats.served.fetch_add(1, Ordering::Relaxed);
+    if tel_on {
+        shared.tel.served.inc();
     }
 }
 

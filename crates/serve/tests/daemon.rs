@@ -363,3 +363,102 @@ fn oversized_responses_become_invalid_query_not_a_panic() {
     }
     daemon.stop();
 }
+
+/// `served` as a scrape on a fresh connection sees it: the wire-stats
+/// counter, and the Prometheus `spsep_served_total` when the telemetry
+/// plane is compiled in.
+fn scrape_served(daemon: &Daemon) -> (u64, Option<f64>) {
+    let mut c = daemon.client();
+    let wire = match c.request(&Request::Stats).unwrap() {
+        Response::Stats(s) => s.served,
+        other => panic!("wrong response {other:?}"),
+    };
+    let text = match c.request(&Request::Metrics).unwrap() {
+        Response::Metrics(text) => text,
+        other => panic!("wrong response {other:?}"),
+    };
+    let prom = spsep_telemetry::counter_samples(&text)
+        .unwrap()
+        .get("spsep_served_total")
+        .copied();
+    (wire, prom)
+}
+
+#[test]
+fn a_reply_in_hand_is_already_counted_as_served() {
+    let oracle = grid_oracle([6, 6], 11);
+    let daemon = spawn_daemon(oracle, config(2));
+    let mut c = daemon.client();
+    let (mut wire_before, mut prom_before) = scrape_served(&daemon);
+    for round in 0..300u64 {
+        match c.request(&Request::Point {
+            source: round % 36,
+            target: 35 - round % 36,
+        }) {
+            Ok(Response::Dist(_)) => {}
+            other => panic!("round {round}: wrong response {other:?}"),
+        }
+        // Scrape at once, on another connection and so possibly another
+        // worker. The delta is exact: the point query, plus the previous
+        // scrape's Stats and Metrics requests; a scrape's own rendering
+        // does not count itself, the Stats reply is counted before the
+        // Metrics one renders.
+        let (wire, prom) = scrape_served(&daemon);
+        assert_eq!(
+            wire - wire_before,
+            3,
+            "round {round}: wire-stats served delta"
+        );
+        if cfg!(feature = "telemetry") {
+            let (Some(now), Some(then)) = (prom, prom_before) else {
+                panic!("round {round}: scrape lacks spsep_served_total");
+            };
+            assert_eq!(now - then, 3.0, "round {round}: spsep_served_total delta");
+        }
+        (wire_before, prom_before) = (wire, prom);
+    }
+    let last = daemon.stop();
+    assert!(last.served >= wire_before + 2);
+}
+
+#[test]
+fn replies_in_hand_are_counted_under_concurrent_clients() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let daemon = spawn_daemon(grid_oracle([6, 6], 12), config(2));
+    let addr = daemon.addr;
+    // Replies any client holds: each must already be in `served`.
+    let delivered = Arc::new(AtomicU64::new(0));
+    let clients: Vec<_> = (0..4u64)
+        .map(|t| {
+            let delivered = Arc::clone(&delivered);
+            std::thread::spawn(move || {
+                let connect = || Client::connect(addr, Duration::from_secs(5)).unwrap();
+                let (mut query, mut scrape) = (connect(), connect());
+                for round in 0..500u64 {
+                    let point = Request::Point {
+                        source: (round + t) % 36,
+                        target: 35,
+                    };
+                    match query.request(&point) {
+                        Ok(Response::Dist(_)) => {}
+                        other => panic!("client {t} round {round}: wrong response {other:?}"),
+                    }
+                    let held = delivered.fetch_add(1, Ordering::SeqCst) + 1;
+                    let served = match scrape.request(&Request::Stats) {
+                        Ok(Response::Stats(s)) => s.served,
+                        other => panic!("client {t} round {round}: wrong response {other:?}"),
+                    };
+                    delivered.fetch_add(1, Ordering::SeqCst);
+                    assert!(
+                        served >= held,
+                        "client {t} round {round}: served {served} < {held} replies held"
+                    );
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    daemon.stop();
+}

@@ -279,6 +279,25 @@ pub fn v2_with_trailing_tree_section(v2: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Add `delta` to the `META` bucket count (the `u64` at payload offset
+/// 64).
+fn bump_bucket_count(meta: &mut [u8], delta: i64) {
+    let Ok(raw) = <[u8; 8]>::try_from(&meta[64..72]) else {
+        unreachable!("slice of length 8")
+    };
+    let nb = u64::from_le_bytes(raw).wrapping_add_signed(delta);
+    meta[64..72].copy_from_slice(&nb.to_le_bytes());
+}
+
+/// `v2` with the bucket count an older build wrote: `3(d_G+1)+1`, one
+/// less than today (checksum fixed). That layout scanned one bucket
+/// holding all of `E` in both the entry and the exit phases, where this
+/// build keeps separate entry and exit buckets. Loading it must say to
+/// re-run `spsep-cli prepare`.
+pub fn v2_with_one_e_bucket(v2: &[u8]) -> Vec<u8> {
+    patch_section_v2(v2, 0, |p| bump_bucket_count(p, -1))
+}
+
 /// All `spsep-oracle/v2` corruptions. Every entry must make
 /// `Oracle::load` return `Err(SpsepError::…)` — never panic, never
 /// yield a usable oracle — when applied to a valid v2 snapshot of an
@@ -458,16 +477,11 @@ pub fn snapshot_corruptions_v2() -> Vec<SnapshotCorruption> {
         // line of defense.
         SnapshotCorruption {
             name: "v2: META bucket count off by one (checksum fixed)",
-            apply: |b| {
-                patch_section_v2(b, 0, |p| {
-                    // num_buckets u64 at offset 64.
-                    let Ok(raw) = <[u8; 8]>::try_from(&p[64..72]) else {
-                        unreachable!("slice of length 8")
-                    };
-                    let nb = u64::from_le_bytes(raw);
-                    p[64..72].copy_from_slice(&(nb + 1).to_le_bytes());
-                })
-            },
+            apply: |b| patch_section_v2(b, 0, |p| bump_bucket_count(p, 1)),
+        },
+        SnapshotCorruption {
+            name: "v2: older layout with one E bucket (checksum fixed, re-prepare)",
+            apply: v2_with_one_e_bucket,
         },
         SnapshotCorruption {
             name: "v2: AEDG edge endpoint out of range (checksum fixed)",

@@ -10,9 +10,10 @@
 //!    every slab page boundary (±1) is a typed error.
 //! 3. **Version skew** — a v1-layout file relabeled v2 and v2 bytes
 //!    relabeled as a future version both fail with typed errors.
-//! 4. **Re-prepare errors** — an `spsep-oracle/v1` file and a file in
-//!    the older 14-section v2 layout (trailing `TREE` section) are
-//!    refused by `Oracle::load` and `Oracle::load_path` with a
+//! 4. **Re-prepare errors** — an `spsep-oracle/v1` file, a file in
+//!    the older 14-section v2 layout (trailing `TREE` section) and one
+//!    in the older bucket layout (one `E` bucket for the entry and
+//!    exit phases, `3(d_G+1)+1` buckets) are refused by `Oracle::load` and `Oracle::load_path` with a
 //!    [`SpsepError::Parse`] that names what was found and says to
 //!    re-run `spsep-cli prepare`.
 //! 5. **Daemon on v2** — a live daemon serving an mmapped v2 snapshot
@@ -24,7 +25,8 @@ use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
 use spsep_serve::{Client, Request, Response, ServeConfig, Server};
 use spsep_testkit::{
-    snapshot_corruptions_v2, v1_snapshot_header, v2_section_bounds, v2_with_trailing_tree_section,
+    snapshot_corruptions_v2, v1_snapshot_header, v2_section_bounds, v2_with_one_e_bucket,
+    v2_with_trailing_tree_section,
 };
 use std::panic::resume_unwind;
 use std::sync::mpsc::RecvTimeoutError;
@@ -180,6 +182,7 @@ fn older_snapshots_are_refused_with_a_re_prepare_error() {
     let cases = [
         ("spsep-oracle/v1", v1_snapshot_header(&v2)),
         ("14-section", v2_with_trailing_tree_section(&v2)),
+        ("one E bucket", v2_with_one_e_bucket(&v2)),
     ];
     for (found, bytes) in cases {
         let path = dir.join("old.sps");
