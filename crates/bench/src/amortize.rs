@@ -13,15 +13,15 @@
 //! with mmap) and the bit-identity contract (full loaded rows == fresh
 //! rows, compared via `to_bits`).
 //!
-//! Same no-serde discipline as E17: the artifact is written with
-//! `format!`, re-parsed by `jsonv` (the crate-private mini JSON parser), and validated before the
-//! `tables` binary writes it.
+//! The workspace has no serde: the artifact is written with `format!`,
+//! re-parsed by [`spsep_trace::json`], and validated before the `tables`
+//! binary writes it.
 
 use crate::families::Family;
-use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
+use spsep_trace::json::{field, parse_json, Json};
 use std::time::Instant;
 
 /// Load repetitions per family; the recorded wall-clock is the minimum,

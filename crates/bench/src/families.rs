@@ -63,42 +63,24 @@ impl Family {
     /// Build an instance with roughly `n_target` vertices, plus its
     /// decomposition tree. Deterministic in `seed`.
     pub fn instance(self, n_target: usize, seed: u64) -> (DiGraph<f64>, SepTree) {
-        let (g, tree, _) = self.instance_timed(n_target, seed);
-        (g, tree)
-    }
-
-    /// Like [`Family::instance`], also reporting the wall-clock
-    /// milliseconds of the decomposition build alone (graph generation
-    /// excluded) — the `build_tree` phase of experiment E17.
-    pub fn instance_timed(self, n_target: usize, seed: u64) -> (DiGraph<f64>, SepTree, f64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let timed = |f: &dyn Fn() -> SepTree| {
-            let t0 = std::time::Instant::now();
-            let tree = f();
-            (tree, t0.elapsed().as_secs_f64() * 1e3)
-        };
         match self {
             Family::Grid2D => {
                 let side = (n_target as f64).sqrt().round().max(2.0) as usize;
                 let (g, _) = spsep_graph::generators::grid(&[side, side], &mut rng);
-                let (tree, ms) =
-                    timed(&|| builders::grid_tree(&[side, side], RecursionLimits::default()));
-                (g, tree, ms)
+                (g, builders::grid_tree(&[side, side], RecursionLimits::default()))
             }
             Family::Grid3D => {
                 let side = (n_target as f64).cbrt().round().max(2.0) as usize;
                 let (g, _) = spsep_graph::generators::grid(&[side, side, side], &mut rng);
-                let (tree, ms) = timed(&|| {
-                    builders::grid_tree(&[side, side, side], RecursionLimits::default())
-                });
-                (g, tree, ms)
+                let tree = builders::grid_tree(&[side, side, side], RecursionLimits::default());
+                (g, tree)
             }
             Family::Tree => {
                 let g = spsep_graph::generators::random_tree(n_target.max(2), &mut rng);
-                let (tree, ms) = timed(&|| {
-                    builders::centroid_tree(&g.undirected_skeleton(), RecursionLimits::default())
-                });
-                (g, tree, ms)
+                let tree =
+                    builders::centroid_tree(&g.undirected_skeleton(), RecursionLimits::default());
+                (g, tree)
             }
             Family::KTree => {
                 let (g, td) = spsep_separator::treewidth::partial_ktree(
@@ -107,25 +89,21 @@ impl Family {
                     0.8,
                     &mut rng,
                 );
-                let (tree, ms) = timed(&|| {
-                    spsep_separator::treewidth::treewidth_tree(
-                        &g.undirected_skeleton(),
-                        &td,
-                        RecursionLimits::default(),
-                    )
-                });
-                (g, tree, ms)
+                let tree = spsep_separator::treewidth::treewidth_tree(
+                    &g.undirected_skeleton(),
+                    &td,
+                    RecursionLimits::default(),
+                );
+                (g, tree)
             }
             Family::PlanarMesh => {
                 let side = (n_target as f64).sqrt().round().max(2.0) as usize;
                 let (g, _) = spsep_separator::planar::triangulated_grid(side, side, &mut rng);
-                let (tree, ms) = timed(&|| {
-                    spsep_separator::planar_level_tree(
-                        &g.undirected_skeleton(),
-                        RecursionLimits::default(),
-                    )
-                });
-                (g, tree, ms)
+                let tree = spsep_separator::planar_level_tree(
+                    &g.undirected_skeleton(),
+                    RecursionLimits::default(),
+                );
+                (g, tree)
             }
         }
     }

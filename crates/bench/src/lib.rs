@@ -1,19 +1,15 @@
 //! Shared harness for the paper-reproduction experiments.
 //!
 //! Every table and figure of the paper maps to one experiment here (see
-//! DESIGN.md §4 for the index); the `tables` binary prints them, the
-//! criterion benches wall-clock the kernels, and `EXPERIMENTS.md` records
-//! paper-vs-measured.
+//! DESIGN.md §4 for the index); the `tables` binary prints them, and
+//! `EXPERIMENTS.md` records paper-vs-measured. End-to-end and per-layer
+//! timings of the oracle and the daemon live in the separate
+//! `benchmark/` package.
 
 pub mod amortize;
 pub mod experiments;
 pub mod families;
-mod jsonv;
-pub mod loadrep;
-pub mod obs;
-pub mod phases;
 pub mod sep;
-pub mod serve;
 pub mod simd;
 
 /// Fixed-width table printer for experiment output.

@@ -17,21 +17,22 @@
 //! and reports, per builder, the [`spsep_separator::QualityReport`]
 //! numbers (one shared implementation with `spsep-cli info` — another
 //! ISSUE 10 satellite) plus end-to-end prepare and per-source query
-//! wall-clocks. The validator *encodes the acceptance criterion*: the
+//! wall-clocks. The validator *encodes the acceptance bar*: the
 //! `level` builder must meet the `c ≤ 4.0` √-bound and its `E⁺`
 //! candidate mass must be strictly smaller than `bfs`'s on the same
 //! instance — an artifact recording a regression can never validate,
 //! and the committed-artifact test re-checks it on every CI run.
 //!
-//! Same no-serde discipline as E17–E22: hand-rolled writer, `jsonv`
-//! re-parse, validation before the `tables` binary writes anything.
+//! Same no-serde discipline as E18 and E21: hand-rolled writer,
+//! [`spsep_trace::json`] re-parse, validation before the `tables` binary
+//! writes anything.
 
-use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 use spsep_separator::planar::road_network;
 use spsep_separator::{planar_level_tree, separator_quality, RecursionLimits, SepTree};
+use spsep_trace::json::{field, parse_json, Json};
 use std::time::Instant;
 
 /// The √-bound the improved builder is held to: `|S(t)| ≤ 4·√|V(t)|`
@@ -267,7 +268,7 @@ pub fn read_sep_json(json: &str) -> Result<Vec<SepRecord>, String> {
 /// Beyond structure and per-entry sanity (positive sizes, finite
 /// timings, `meets_bound` consistent with `sqrt_c` vs `c_bound`,
 /// `max_sep ≥ root_sep`, balance in `(0, 1]`), this encodes the
-/// acceptance criterion as a cross-entry invariant: for every instance
+/// acceptance bar as a cross-entry invariant: for every instance
 /// size `n` present, the `level` builder must (a) meet the √-bound and
 /// (b) have a strictly smaller `eplus_candidates` than the `bfs`
 /// builder. An artifact recording a separator-quality regression can
@@ -366,7 +367,7 @@ pub fn validate_sep_json(json: &str) -> Result<usize, String> {
             _ => level_rows.push((n, eplus, meets)),
         }
     }
-    // The acceptance criterion: on every instance the planar builder
+    // The acceptance bar: on every instance the planar builder
     // must meet the bound and need fewer `E⁺` candidates than BFS.
     for &(n, level_eplus, meets) in &level_rows {
         if !meets {
@@ -452,7 +453,7 @@ mod tests {
         rows[1].meets_bound = false;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
         // Level builder not strictly below bfs on E⁺ candidates: the
-        // acceptance criterion is enforced at validation time.
+        // acceptance bar is enforced at validation time.
         let mut rows = sample();
         rows[1].eplus_candidates = rows[0].eplus_candidates;
         assert!(validate_sep_json(&sep_json(&rows)).is_err());
@@ -482,7 +483,7 @@ mod tests {
             assert_eq!(r.n, 24_000, "{}: committed run must be the full instance", r.builder);
         }
         // The headline numbers (the validator already enforced the
-        // acceptance criterion; restate it here so a failure names the
+        // acceptance bar; restate it here so a failure names the
         // builders involved).
         let get = |slug: &str| {
             rows.iter()

@@ -11,15 +11,15 @@
 //! produce byte-for-byte identical matrices.
 //!
 //! The workspace has no serde, so the artifact is written with `format!`
-//! and checked by the crate-private `jsonv` parser; the `tables` binary
+//! and checked by the [`spsep_trace::json`] parser; the `tables` binary
 //! validates every artifact it writes, and CI validates the committed
 //! copy.
 
 use crate::families::Family;
-use crate::jsonv::{field, parse_json, Json};
 use crate::{fmt_f, Table};
 use spsep_graph::dense::{simd, simd_active, KernelOutcome, SemiMatrix};
 use spsep_graph::semiring::Tropical;
+use spsep_trace::json::{field, parse_json, Json};
 use std::time::Instant;
 
 /// One measured (family, n, kernel) point.

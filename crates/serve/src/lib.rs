@@ -25,7 +25,9 @@
 //!   hatches for fault injection;
 //! * [`load`] — an open-loop load harness with zipfian source skew
 //!   and a chaos mode that also scrapes the exposition before/after
-//!   the run, feeding the committed `BENCH_serve.json` artifact.
+//!   the run;
+//! * [`loadrep`] — the validated `spsep-load-report/v1` JSON record of
+//!   one harness run (`spsep-cli load --json`).
 //!
 //! The fault model and its tests live in `spsep-testkit`
 //! (`wire_corruptions()` and the daemon shutdown suite).
@@ -36,11 +38,13 @@
 
 pub mod client;
 pub mod load;
+pub mod loadrep;
 pub mod protocol;
 pub mod server;
 mod telemetry;
 
 pub use client::Client;
 pub use load::{run_load, LoadConfig, LoadReport, Mix};
+pub use loadrep::{load_report_json, validate_load_report_json};
 pub use protocol::{Request, Response, WireError, WireStats, MAX_FRAME};
 pub use server::{answer_query, install_signal_handlers, ServeConfig, Server, ServerHandle};

@@ -6,9 +6,10 @@
 //! and on scrape. The whole bundle honours a kill switch — the
 //! `telemetry` cargo feature (on by default) compiles the recording
 //! calls out entirely, and [`ServeConfig::telemetry`] disables them at
-//! runtime (the E22 overhead bench measures on vs. off on the same
-//! binary). Exposition keeps working either way; with recording off
-//! the counters simply stay at zero.
+//! runtime. The benchmark's road-serve-zipf workload runs with
+//! recording on, so its `p50_ms` and `ops_per_s` carry the plane's
+//! cost. Exposition keeps working either way; with recording off the
+//! counters simply stay at zero.
 //!
 //! [`ServeConfig::telemetry`]: crate::server::ServeConfig
 

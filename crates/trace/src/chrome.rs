@@ -13,13 +13,13 @@
 //! sub-nanosecond tolerance when it checks that spans on one thread are
 //! strictly nested.
 //!
-//! The workspace has no serde, so the validator is a hand-rolled minimal
-//! JSON parser (mirroring the `BENCH_*.json` validators): enough to
-//! re-read what the exporter writes and to reject structural drift in
-//! CI.
+//! The workspace has no serde, so the validator re-reads the export
+//! with the crate's minimal [`json`](crate::json) parser and rejects
+//! structural drift in CI.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::{field, parse_json, quote, Json};
 use crate::TraceEvent;
 
 /// Executor telemetry snapshot joined into the export, shaped so this
@@ -46,21 +46,6 @@ pub struct WorkerMeta {
     pub busy_ns: u64,
     /// Tasks executed.
     pub tasks: u64,
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn us(ns: u64) -> f64 {
@@ -100,8 +85,8 @@ pub fn chrome_trace_json(events: &[TraceEvent], pool: Option<&PoolMeta>) -> Stri
         push(
             format!(
                 "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
+                 \"args\": {{\"name\": {}}}}}",
+                quote(name)
             ),
             &mut s,
             &mut first,
@@ -111,14 +96,14 @@ pub fn chrome_trace_json(events: &[TraceEvent], pool: Option<&PoolMeta>) -> Stri
         let mut args = format!("\"ops\": {}, \"bytes\": {}", e.ops, e.bytes);
         for kv in e.args.split(' ').filter(|kv| !kv.is_empty()) {
             let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
-            args.push_str(&format!(", \"{}\": \"{}\"", escape(k), escape(v)));
+            args.push_str(&format!(", {}: {}", quote(k), quote(v)));
         }
         push(
             format!(
-                "{{\"name\": \"{}\", \"cat\": \"spsep\", \"ph\": \"X\", \
+                "{{\"name\": {}, \"cat\": \"spsep\", \"ph\": \"X\", \
                  \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}, \
                  \"args\": {{{args}}}}}",
-                escape(&e.label),
+                quote(&e.label),
                 us(e.start_ns),
                 us(e.dur_ns),
                 e.tid,
@@ -146,8 +131,8 @@ pub fn chrome_trace_json(events: &[TraceEvent], pool: Option<&PoolMeta>) -> Stri
             push(
                 format!(
                     "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    escape(&w.name)
+                     \"args\": {{\"name\": {}}}}}",
+                    quote(&w.name)
                 ),
                 &mut s,
                 &mut first,
@@ -165,186 +150,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], pool: Option<&PoolMeta>) -> Stri
     }
     s.push_str("\n]\n}\n");
     s
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader — enough to validate what the exporter writes.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-enum Json {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
-                            out.push(hex);
-                            self.i += 4;
-                        }
-                        _ => return Err(format!("unsupported escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(c) => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.ws();
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    self.ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-                    }
-                }
-            }
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at {}", p.i));
-    }
-    Ok(v)
-}
-
-fn field<'j>(obj: &'j [(String, Json)], key: &str) -> Result<&'j Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key `{key}`"))
 }
 
 /// Nesting tolerance in microseconds: timestamps are exact integer

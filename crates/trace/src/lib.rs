@@ -36,12 +36,16 @@
 //! * [`chrome::validate_chrome_json`] — structural validator (required
 //!   fields, strictly nested spans per thread) used by unit tests and
 //!   the CI artifact job.
+//!
+//! The validator reads JSON with [`json`], the workspace's one minimal
+//! JSON reader; the load-report and `BENCH_*.json` validators share it.
 
 // Every public item must explain itself — the crate is the paper's
 // reference implementation and doubles as its documentation.
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 
 pub use chrome::{chrome_trace_json, validate_chrome_json, PoolMeta, WorkerMeta};
 

@@ -90,7 +90,6 @@
 //!                       corruption or mid-stream disconnect
 //! --seed <s>            deterministic schedule seed
 //! --verify <oracle.sps> check every answer bit-for-bit vs this snapshot
-//! --load-out <p.json>   write the validated spsep-serve-bench/v1 report
 //! --json <report.json>  write the validated spsep-load-report/v1 report
 //!                       (client + daemon view + scraped metrics delta)
 //! --shutdown            ask the daemon to drain and exit afterwards
@@ -109,6 +108,7 @@ use spsep::graph::semiring::Tropical;
 use spsep::graph::DiGraph;
 use spsep::pram::{Metrics, Report};
 use spsep::separator::{builders, RecursionLimits, SepTree};
+use spsep::trace::json::quote;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -147,7 +147,6 @@ struct Args {
     chaos: f64,
     seed: Option<u64>,
     verify: Option<String>,
-    load_out: Option<String>,
     json_out: Option<String>,
     shutdown_after: bool,
 }
@@ -169,7 +168,7 @@ fn usage() -> ExitCode {
          \x20      spsep-cli load <host:port> [--rate r] [--duration s] \
          [--conns k] [--mix p:s:b] [--batch-size k]\n\
          \x20       [--zipf t] [--chaos p] [--seed s] [--verify oracle.sps] \
-         [--load-out p.json] [--json report.json] [--shutdown]"
+         [--json report.json] [--shutdown]"
     );
     ExitCode::from(2)
 }
@@ -212,7 +211,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         chaos: 0.0,
         seed: None,
         verify: None,
-        load_out: None,
         json_out: None,
         shutdown_after: false,
     };
@@ -329,7 +327,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                 )
             }
             "--verify" => args.verify = Some(argv.next().ok_or_else(usage)?),
-            "--load-out" => args.load_out = Some(argv.next().ok_or_else(usage)?),
             "--json" => args.json_out = Some(argv.next().ok_or_else(usage)?),
             "--shutdown" => args.shutdown_after = true,
             _ => return Err(usage()),
@@ -409,30 +406,13 @@ fn obtain_tree(g: &DiGraph<f64>, args: &Args) -> Result<SepTree, String> {
     Ok(tree)
 }
 
-/// Append one JSON string value (with escapes) to `out`.
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Render the `spsep-metrics/v1` JSON document: the PRAM report plus the
 /// work-ledger entries (empty array when the command ran no augmentation).
 fn metrics_json(command: &str, report: &Report, ledger: Option<&WorkLedger>) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"spsep-metrics/v1\",\n  \"command\": ");
-    json_str(&mut out, command);
+    out.push_str(&quote(command));
     write!(
         out,
         ",\n  \"work\": {{\n    \"relaxation\": {},\n    \"floyd_warshall\": {},\n    \
@@ -455,7 +435,7 @@ fn metrics_json(command: &str, report: &Report, ledger: Option<&WorkLedger>) -> 
         for (i, e) in ledger.entries.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"label\": ");
-            json_str(&mut out, &e.label);
+            out.push_str(&quote(&e.label));
             write!(
                 out,
                 ", \"measured\": {}, \"predicted\": {}, \"ratio\": {:.6}, \"within\": {}}}",
@@ -873,7 +853,7 @@ fn parse_mix(text: &str) -> Result<serve::Mix, String> {
 
 /// `load`: drive the open-loop chaos load harness against a running
 /// daemon, print the report, optionally write the validated
-/// `spsep-serve-bench/v1` artifact, and optionally ask the daemon to
+/// `spsep-load-report/v1` artifact, and optionally ask the daemon to
 /// shut down. Exits non-zero when any answer diverged from the
 /// verification oracle or a chaos injection went unhandled.
 fn cmd_load(args: &Args) -> Result<(), String> {
@@ -959,49 +939,9 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         None => println!("metrics: scrape unavailable (telemetry off or old daemon)"),
     }
 
-    if let Some(path) = &args.load_out {
-        let stats = report
-            .daemon
-            .as_ref()
-            .ok_or("--load-out needs the daemon's final stats, but Stats failed")?;
-        let record = spsep_bench::serve::ServeRecord {
-            workers: stats.workers as usize,
-            rate: args.rate,
-            duration_s: args.duration_s,
-            connections: args.conns,
-            scheduled: report.scheduled,
-            ok: report.ok,
-            chaos_sent: report.chaos_sent,
-            chaos_handled: report.chaos_handled,
-            qps: report.qps,
-            latency_us: report.latency_us,
-            errors: report.errors.clone(),
-            served: stats.served,
-            shed: stats.shed,
-            // The wire carries p50/p99/p999; the v1 artifact schema
-            // keeps its original two-percentile shape.
-            queue_wait_us: [stats.queue_wait_us[0], stats.queue_wait_us[1]],
-            service_us: [stats.service_us[0], stats.service_us[1]],
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cache_shards: stats.cache_shards as u64,
-        };
-        let json = spsep_bench::serve::serve_json(&[record]);
-        spsep_bench::serve::validate_serve_json(&json)
-            .map_err(|e| format!("load report failed validation: {e}"))?;
-        std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote load report to {path}");
-    }
-
     if let Some(path) = &args.json_out {
-        let json = spsep_bench::loadrep::load_report_json(
-            addr,
-            args.rate,
-            args.duration_s,
-            args.conns,
-            &report,
-        );
-        spsep_bench::loadrep::validate_load_report_json(&json)
+        let json = serve::load_report_json(addr, args.rate, args.duration_s, args.conns, &report);
+        serve::validate_load_report_json(&json)
             .map_err(|e| format!("load report failed validation: {e}"))?;
         std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote spsep-load-report/v1 to {path}");

@@ -458,7 +458,7 @@ fn daemon_serves_load_and_exits_zero_on_shutdown() {
     };
 
     // Chaos load with bit-identity verification against the snapshot,
-    // the spsep-serve-bench/v1 artifact, and a final shutdown request.
+    // the spsep-load-report/v1 record, and a final shutdown request.
     let report_path = dir.join("load.json");
     let out = cli()
         .arg("load")
@@ -467,7 +467,7 @@ fn daemon_serves_load_and_exits_zero_on_shutdown() {
         .args(["--chaos", "0.1", "--seed", "7", "--zipf", "0.5"])
         .arg("--verify")
         .arg(&snapshot)
-        .arg("--load-out")
+        .arg("--json")
         .arg(&report_path)
         .arg("--shutdown")
         .output()
@@ -483,13 +483,18 @@ fn daemon_serves_load_and_exits_zero_on_shutdown() {
     assert!(text.contains("latency (open-loop"), "{text}");
     assert!(text.contains("daemon acknowledged shutdown"), "{text}");
 
-    // The written report is a valid single-entry artifact.
+    // The written report validates, and carries the daemon's view and
+    // the scraped counter deltas of this run.
     let json = std::fs::read_to_string(&report_path).unwrap();
     assert_eq!(
-        spsep_bench::serve::validate_serve_json(&json),
-        Ok(1),
+        spsep::serve::validate_load_report_json(&json),
+        Ok(()),
         "{json}"
     );
+    assert!(json.contains("\"scheduled\": 400"), "{json}");
+    assert!(json.contains("\"daemon\": {\"workers\": 2"), "{json}");
+    assert!(json.contains("\"metrics_valid\": true"), "{json}");
+    assert!(json.contains("spsep_served_total"), "{json}");
 
     // The daemon drains and exits 0, with the final stats separating
     // queue-wait from service time.
