@@ -73,10 +73,7 @@ mod tests {
     #[test]
     fn negative_cycle_is_reported() {
         use spsep_graph::Edge;
-        let g = DiGraph::from_edges(
-            2,
-            vec![Edge::new(0, 1, 1.0), Edge::new(1, 0, -2.0)],
-        );
+        let g = DiGraph::from_edges(2, vec![Edge::new(0, 1, 1.0), Edge::new(1, 0, -2.0)]);
         assert!(floyd_warshall_apsp(&g).is_err());
         assert!(repeated_squaring_apsp(&g).is_err());
     }

@@ -79,10 +79,7 @@ mod tests {
     #[test]
     fn propagates_negative_cycle_error() {
         use spsep_graph::Edge;
-        let g = DiGraph::from_edges(
-            2,
-            vec![Edge::new(0, 1, -1.0), Edge::new(1, 0, -1.0)],
-        );
+        let g = DiGraph::from_edges(2, vec![Edge::new(0, 1, -1.0), Edge::new(1, 0, -1.0)]);
         assert!(johnson(&g, &[0]).is_err());
     }
 

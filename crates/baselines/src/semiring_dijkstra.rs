@@ -135,7 +135,10 @@ pub fn sssp_semiring_csr<S: Semiring>(
         if S::better(scratch.dist[v as usize], d) {
             continue;
         }
-        let (lo, hi) = (offsets[v as usize] as usize, offsets[v as usize + 1] as usize);
+        let (lo, hi) = (
+            offsets[v as usize] as usize,
+            offsets[v as usize + 1] as usize,
+        );
         for (&u, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
             ops += 1;
             let cand = S::extend(d, w);

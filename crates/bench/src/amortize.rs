@@ -320,14 +320,18 @@ pub fn validate_amortize_json(json: &str) -> Result<usize, String> {
         match field(e, "slab_backed").map_err(|m| ctx(&m))? {
             Json::Bool(true) => {}
             Json::Bool(false) => {
-                return Err(ctx("`slab_backed` is false: the load copied instead of mapping"))
+                return Err(ctx(
+                    "`slab_backed` is false: the load copied instead of mapping",
+                ))
             }
             _ => return Err(ctx("`slab_backed` must be a boolean")),
         }
         match field(e, "bit_identical").map_err(|m| ctx(&m))? {
             Json::Bool(true) => {}
             Json::Bool(false) => {
-                return Err(ctx("`bit_identical` is false: the snapshot round-trip diverged"))
+                return Err(ctx(
+                    "`bit_identical` is false: the snapshot round-trip diverged",
+                ))
             }
             _ => return Err(ctx("`bit_identical` must be a boolean")),
         }
@@ -379,7 +383,10 @@ mod tests {
         assert_eq!(back.len(), rows.len());
         for (a, b) in rows.iter().zip(&back) {
             assert_eq!(a.family, b.family);
-            assert_eq!((a.n, a.m, a.eplus, a.snap_bytes), (b.n, b.m, b.eplus, b.snap_bytes));
+            assert_eq!(
+                (a.n, a.m, a.eplus, a.snap_bytes),
+                (b.n, b.m, b.eplus, b.snap_bytes)
+            );
             assert!((a.amortization - b.amortization).abs() < 1e-6);
         }
         let view = render_amortize_table(&back);
@@ -442,11 +449,19 @@ mod tests {
         let (report, records) = e18_amortization(true);
         assert_eq!(records.len(), 5, "{report}");
         for r in &records {
-            assert!(r.bit_identical, "{}: snapshot round-trip diverged", r.family);
+            assert!(
+                r.bit_identical,
+                "{}: snapshot round-trip diverged",
+                r.family
+            );
             #[cfg(unix)]
             assert!(r.slab_backed, "{}: load is not slab-backed", r.family);
             assert!(r.snap_bytes > 0, "{}: empty snapshot", r.family);
-            assert!(r.prepare_ms > 0.0 && r.load_ms > 0.0, "{}: empty timings", r.family);
+            assert!(
+                r.prepare_ms > 0.0 && r.load_ms > 0.0,
+                "{}: empty timings",
+                r.family
+            );
         }
         let json = amortize_json(&records);
         assert_eq!(validate_amortize_json(&json), Ok(5));

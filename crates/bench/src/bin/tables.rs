@@ -31,8 +31,8 @@ use spsep_bench::{amortize, experiments, sep, simd};
 
 /// Every experiment id `tables` understands, in presentation order.
 const VALID_IDS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "fig1", "fig2", "e8", "e9", "e10", "e11", "e12", "e13",
-    "e14", "e15", "e18", "e21", "e23", "check", "all",
+    "e1", "e2", "e3", "e4", "e5", "fig1", "fig2", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
+    "e15", "e18", "e21", "e23", "check", "all",
 ];
 
 fn fail(msg: &str) -> ! {
@@ -90,9 +90,7 @@ fn main() {
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
     let mut sweep = None;
-    let sweep_points = || {
-        experiments::run_sweep()
-    };
+    let sweep_points = || experiments::run_sweep();
     let get_sweep = |sweep: &mut Option<Vec<experiments::SweepPoint>>| {
         if sweep.is_none() {
             eprintln!("[tables] running the Table 1 sweep (E1–E3 share it)…");
@@ -103,15 +101,24 @@ fn main() {
     let hr = "=".repeat(78);
     if want("e1") {
         get_sweep(&mut sweep);
-        println!("{hr}\n{}", experiments::e1_preprocessing_work(sweep.as_ref().unwrap()));
+        println!(
+            "{hr}\n{}",
+            experiments::e1_preprocessing_work(sweep.as_ref().unwrap())
+        );
     }
     if want("e2") {
         get_sweep(&mut sweep);
-        println!("{hr}\n{}", experiments::e2_per_source_work(sweep.as_ref().unwrap()));
+        println!(
+            "{hr}\n{}",
+            experiments::e2_per_source_work(sweep.as_ref().unwrap())
+        );
     }
     if want("e3") {
         get_sweep(&mut sweep);
-        println!("{hr}\n{}", experiments::e3_eplus_size(sweep.as_ref().unwrap()));
+        println!(
+            "{hr}\n{}",
+            experiments::e3_eplus_size(sweep.as_ref().unwrap())
+        );
     }
     if want("e4") {
         println!("{hr}\n{}", experiments::e4_diameter());
@@ -179,8 +186,8 @@ fn main() {
     if want("e21") || simd_out.is_some() || simd_in.is_some() {
         if let Some(path) = &simd_in {
             let json = read_or_fail(path, "simd artifact");
-            let records = simd::read_simd_json(&json)
-                .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+            let records =
+                simd::read_simd_json(&json).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
             println!(
                 "{hr}\nE21 — dense kernels vs naive from {path} ({} entries):\n\n{}",
                 records.len(),
@@ -206,8 +213,8 @@ fn main() {
     if want("e23") || sep_out.is_some() || sep_in.is_some() {
         if let Some(path) = &sep_in {
             let json = read_or_fail(path, "sep artifact");
-            let records = sep::read_sep_json(&json)
-                .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+            let records =
+                sep::read_sep_json(&json).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
             println!(
                 "{hr}\nE23 — separator quality from {path} ({} entries):\n\n{}",
                 records.len(),

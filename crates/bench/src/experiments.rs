@@ -154,9 +154,8 @@ pub fn e2_per_source_work(points: &[SweepPoint]) -> String {
 
 /// E3 — Theorem 5.1(iii): `|E⁺| = O(n + n^{2μ})`.
 pub fn e3_eplus_size(points: &[SweepPoint]) -> String {
-    let mut out = String::from(
-        "E3 — Theorem 5.1(iii): |E⁺| = O(n + n^{2μ}) (n log n at μ=1/2).\n\n",
-    );
+    let mut out =
+        String::from("E3 — Theorem 5.1(iii): |E⁺| = O(n + n^{2μ}) (n log n at μ=1/2).\n\n");
     let mut t = Table::new(&["family", "n", "|E|", "|E+|", "|E+|/n"]);
     for p in points {
         t.row(vec![
@@ -229,9 +228,7 @@ pub fn e5_alg41_vs_alg43() -> String {
         "E5 — Alg 4.1 (leaves-up) vs Alg 4.3 (path doubling): the paper \
          trades O(log n) depth for O(log n) extra work.\n\n",
     );
-    let mut t = Table::new(&[
-        "family", "n", "alg", "wall_ms", "work", "depth", "phases",
-    ]);
+    let mut t = Table::new(&["family", "n", "alg", "wall_ms", "work", "depth", "phases"]);
     for family in Family::all() {
         let (g, tree) = family.instance(8_000, 9);
         // Estimated shared pairing-table size for Remark 4.4:
@@ -312,10 +309,11 @@ pub fn fig2() -> String {
     let (g, _) = spsep_graph::generators::grid(&[9, 9], &mut rng);
     // A corner-to-corner shortest path.
     let truth = spsep_baselines::dijkstra(&g, 0);
-    let path = truth
-        .path_to(&g, g.n() - 1)
-        .expect("grid connected");
-    let levels: Vec<u32> = path.iter().map(|&v| tree.vertex_level(v as usize)).collect();
+    let path = truth.path_to(&g, g.n() - 1).expect("grid connected");
+    let levels: Vec<u32> = path
+        .iter()
+        .map(|&v| tree.vertex_level(v as usize))
+        .collect();
     // Restrict to the maximal defined-level section (the proof's i1..i2).
     let i1 = levels.iter().position(|&l| l != u32::MAX);
     let i2 = levels.iter().rposition(|&l| l != u32::MAX);
@@ -470,7 +468,13 @@ pub fn e15_family_speedup() -> String {
          from n/2 are byte-for-byte equal at every thread count.\n\n",
     );
     let mut t = Table::new(&[
-        "family", "t1_ms", "t2_ms", "t4_ms", "t8_ms", "speedup@4", "bitident",
+        "family",
+        "t1_ms",
+        "t2_ms",
+        "t4_ms",
+        "t8_ms",
+        "speedup@4",
+        "bitident",
     ]);
     for family in Family::all() {
         let (g, tree) = family.instance(4096, 3);
@@ -527,7 +531,12 @@ pub fn e10_qfaces() -> String {
          these q.\n\n",
     );
     let mut t = Table::new(&[
-        "q", "n", "ham_prep_ms", "ham_q_ms", "dir_prep_ms", "dir_q_ms",
+        "q",
+        "n",
+        "ham_prep_ms",
+        "ham_q_ms",
+        "dir_prep_ms",
+        "dir_q_ms",
     ]);
     for side in [3usize, 5, 8, 12] {
         let q = side * side;
@@ -549,8 +558,7 @@ pub fn e10_qfaces() -> String {
         let t2 = Instant::now();
         let adj = hg.graph.undirected_skeleton();
         let tree = builders::bfs_tree(&adj, RecursionLimits::default());
-        let pre =
-            preprocess::<Tropical>(&hg.graph, &tree, Algorithm::LeavesUp, &metrics).unwrap();
+        let pre = preprocess::<Tropical>(&hg.graph, &tree, Algorithm::LeavesUp, &metrics).unwrap();
         let dir_prep = t2.elapsed().as_secs_f64() * 1e3;
         let t3 = Instant::now();
         std::hint::black_box(pre.distances_multi(&sources));

@@ -68,7 +68,10 @@ impl Family {
             Family::Grid2D => {
                 let side = (n_target as f64).sqrt().round().max(2.0) as usize;
                 let (g, _) = spsep_graph::generators::grid(&[side, side], &mut rng);
-                (g, builders::grid_tree(&[side, side], RecursionLimits::default()))
+                (
+                    g,
+                    builders::grid_tree(&[side, side], RecursionLimits::default()),
+                )
             }
             Family::Grid3D => {
                 let side = (n_target as f64).cbrt().round().max(2.0) as usize;
@@ -83,12 +86,8 @@ impl Family {
                 (g, tree)
             }
             Family::KTree => {
-                let (g, td) = spsep_separator::treewidth::partial_ktree(
-                    n_target.max(6),
-                    4,
-                    0.8,
-                    &mut rng,
-                );
+                let (g, td) =
+                    spsep_separator::treewidth::partial_ktree(n_target.max(6), 4, 0.8, &mut rng);
                 let tree = spsep_separator::treewidth::treewidth_tree(
                     &g.undirected_skeleton(),
                     &td,

@@ -480,7 +480,11 @@ mod tests {
         let rows = read_sep_json(&json).unwrap();
         // The committed run is the full 24 000-node road instance.
         for r in &rows {
-            assert_eq!(r.n, 24_000, "{}: committed run must be the full instance", r.builder);
+            assert_eq!(
+                r.n, 24_000,
+                "{}: committed run must be the full instance",
+                r.builder
+            );
         }
         // The headline numbers (the validator already enforced the
         // acceptance bar; restate it here so a failure names the

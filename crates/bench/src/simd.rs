@@ -160,7 +160,13 @@ pub fn e21_simd_speedup(smoke: bool) -> (String, Vec<SimdRecord>) {
 /// Render records as the E21 table (shared by measure and `--simd-in`).
 pub fn render_simd_table(records: &[SimdRecord]) -> String {
     let mut t = Table::new(&[
-        "family", "n", "kernel", "naive_ms", "kernel_ms", "speedup", "bitident",
+        "family",
+        "n",
+        "kernel",
+        "naive_ms",
+        "kernel_ms",
+        "speedup",
+        "bitident",
     ]);
     for r in records {
         t.row(vec![
@@ -261,14 +267,21 @@ pub fn validate_simd_json(json: &str) -> Result<usize, String> {
         for key in ["naive_ms", "kernel_ms"] {
             match field(e, key).map_err(|m| ctx(&m))? {
                 Json::Num(v) if *v >= 0.0 && v.is_finite() => {}
-                _ => return Err(ctx(&format!("`{key}` must be a finite non-negative number"))),
+                _ => {
+                    return Err(ctx(&format!(
+                        "`{key}` must be a finite non-negative number"
+                    )))
+                }
             }
         }
         match field(e, "speedup").map_err(|m| ctx(&m))? {
             Json::Num(v) if *v > 0.0 && v.is_finite() => {}
             _ => return Err(ctx("`speedup` must be a finite positive number")),
         }
-        if !matches!(field(e, "bit_identical").map_err(|m| ctx(&m))?, Json::Bool(_)) {
+        if !matches!(
+            field(e, "bit_identical").map_err(|m| ctx(&m))?,
+            Json::Bool(_)
+        ) {
             return Err(ctx("`bit_identical` must be a bool"));
         }
     }

@@ -30,7 +30,9 @@
 //! diagonal in a leaf or `H_S` computation — the lowest node whose
 //! separator the cycle crosses necessarily exposes it (paper comment (i)).
 
-use crate::augment::{dedupe_eplus, emit_node_edges, interfaces, AugmentStats, Augmentation, Interface};
+use crate::augment::{
+    dedupe_eplus, emit_node_edges, interfaces, AugmentStats, Augmentation, Interface,
+};
 use crate::workspace::{NodeWorkspace, WorkspacePool};
 use crate::AbsorbingCycle;
 use rayon::prelude::*;
@@ -303,8 +305,8 @@ pub(crate) fn process_internal<S: Semiring>(
             out_row(bi, row);
         }
     }
-    let limited_ops = (nb as u64) * (ns as u64) * (ns as u64)
-        + (nb as u64) * (nb as u64) * (ns as u64);
+    let limited_ops =
+        (nb as u64) * (ns as u64) * (ns as u64) + (nb as u64) * (nb as u64) * (ns as u64);
 
     // Step v: assemble the interface matrix and emit E_t.
     let m = iface.len();

@@ -64,8 +64,7 @@ pub fn augment_path_doubling<S: Semiring>(
             let k = iface.len();
             if node.is_leaf() {
                 let mut ws = pool.acquire();
-                let (flat, outcome) =
-                    leaf_iface_matrix_ws::<S>(g, &node.vertices, iface, &mut ws);
+                let (flat, outcome) = leaf_iface_matrix_ws::<S>(g, &node.vertices, iface, &mut ws);
                 pool.release(ws);
                 (SemiMatrix::from_flat(k, flat), outcome)
             } else {
@@ -138,9 +137,8 @@ pub fn augment_path_doubling<S: Semiring>(
         .collect();
 
     // Step ii: the doubling rounds.
-    let max_rounds = 2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize
-        + 2 * tree.height() as usize
-        + 2;
+    let max_rounds =
+        2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize + 2 * tree.height() as usize + 2;
     let mut rounds_used = 0usize;
     for round in 0..max_rounds {
         rounds_used += 1;
@@ -149,10 +147,7 @@ pub fn augment_path_doubling<S: Semiring>(
         let round_work_before = metrics.total_work();
         // ii(1): squaring, all nodes at once.
         metrics.phase(num_nodes);
-        let outcomes: Vec<_> = mats
-            .par_iter_mut()
-            .map(|m| m.square_step())
-            .collect();
+        let outcomes: Vec<_> = mats.par_iter_mut().map(|m| m.square_step()).collect();
         let mut changed = false;
         for o in outcomes {
             metrics.work(Counter::Doubling, o.ops);
@@ -182,8 +177,7 @@ pub fn augment_path_doubling<S: Semiring>(
                 .map(|id| {
                     let node = &tree.nodes()[id as usize];
                     let mut ups: Vec<(u32, u32, S::W)> = Vec::new();
-                    if let (Some((c1, c2)), Some(maps)) =
-                        (node.children, &child_maps[id as usize])
+                    if let (Some((c1, c2)), Some(maps)) = (node.children, &child_maps[id as usize])
                     {
                         for (ci, &c) in [c1, c2].iter().enumerate() {
                             let cm = &deeper[c as usize - boundary];

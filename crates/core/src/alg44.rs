@@ -33,9 +33,7 @@
 //! `≤` and set-wise `⊇` the other algorithms' output; tests pin down
 //! exactly this relation plus end-to-end distance correctness.
 
-use crate::augment::{
-    dedupe_eplus, interfaces, leaf_iface_matrix_ws, AugmentStats, Augmentation,
-};
+use crate::augment::{dedupe_eplus, interfaces, leaf_iface_matrix_ws, AugmentStats, Augmentation};
 use crate::workspace::NodeWorkspace;
 use crate::AbsorbingCycle;
 use rayon::prelude::*;
@@ -208,12 +206,10 @@ pub fn augment_shared_doubling<S: Semiring>(
     });
 
     // --- Doubling rounds. ----------------------------------------------
-    let max_rounds = 2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize
-        + 2 * tree.height() as usize
-        + 2;
+    let max_rounds =
+        2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize + 2 * tree.height() as usize + 2;
     for round in 0..max_rounds {
-        let mut round_span =
-            spsep_trace::span!("alg44.round", round = round, width = groups.len());
+        let mut round_span = spsep_trace::span!("alg44.round", round = round, width = groups.len());
         let round_start = Instant::now();
         let round_work_before = metrics.total_work();
         metrics.phase(groups.len().max(1));

@@ -293,7 +293,12 @@ pub fn work_ledger(
     if let Some(diam) = measured_diameter {
         let l = tree.max_leaf_size().saturating_sub(1) as u64;
         // Theorem 3.1: diam(G⁺) ≤ 4·d_G + 2·l + 1, exact — no slack.
-        entries.push(ledger_entry("diameter", diam as u64, 4 * d_g + 2 * l + 1, 1.0));
+        entries.push(ledger_entry(
+            "diameter",
+            diam as u64,
+            4 * d_g + 2 * l + 1,
+            1.0,
+        ));
     }
     WorkLedger { algo, entries }
 }
@@ -315,7 +320,9 @@ fn algo_from_label(label: u32) -> Result<Algorithm, SpsepError> {
         41 => Ok(Algorithm::LeavesUp),
         43 => Ok(Algorithm::PathDoubling),
         44 => Ok(Algorithm::SharedDoubling),
-        other => Err(SpsepError::parse(format!("unknown algorithm label {other}"))),
+        other => Err(SpsepError::parse(format!(
+            "unknown algorithm label {other}"
+        ))),
     }
 }
 
@@ -382,7 +389,10 @@ pub fn ledger_from_text(text: &str) -> Result<WorkLedger, SpsepError> {
             .parse()
             .map_err(|_| SpsepError::parse_at(lineno, "bad slack"))?;
         if !slack.is_finite() || slack <= 0.0 {
-            return Err(SpsepError::parse_at(lineno, "slack must be finite and positive"));
+            return Err(SpsepError::parse_at(
+                lineno,
+                "slack must be finite and positive",
+            ));
         }
         let within = match fields[4] {
             "1" => true,

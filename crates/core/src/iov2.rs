@@ -648,7 +648,9 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
             )));
         }
         if row.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SpsepError::parse(format!("{what} offsets are not monotone")));
+            return Err(SpsepError::parse(format!(
+                "{what} offsets are not monotone"
+            )));
         }
         Ok(())
     };

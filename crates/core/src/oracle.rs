@@ -690,7 +690,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spsep-oracle-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.v2");
-        oracle.save_v2(&mut std::fs::File::create(&path).unwrap()).unwrap();
+        oracle
+            .save_v2(&mut std::fs::File::create(&path).unwrap())
+            .unwrap();
         let mapped = Oracle::load_path(&path).unwrap();
         #[cfg(unix)]
         assert!(mapped.is_slab_backed());

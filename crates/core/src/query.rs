@@ -204,12 +204,7 @@ impl<S: Semiring> Preprocessed<S> {
     /// Paper comment (ii): "the algorithm as stated computes only
     /// distances, but it can be easily adapted to explicitly find minimum
     /// weight paths."
-    pub fn shortest_path(
-        &self,
-        g: &DiGraph<S::W>,
-        u: usize,
-        v: usize,
-    ) -> Option<(S::W, Vec<u32>)> {
+    pub fn shortest_path(&self, g: &DiGraph<S::W>, u: usize, v: usize) -> Option<(S::W, Vec<u32>)> {
         let (dist, _) = self.distances_seq(u);
         if S::is_zero(dist[v]) {
             return None;

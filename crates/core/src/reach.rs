@@ -199,8 +199,16 @@ fn internal_closure(
 ) -> (BitMatrix, u64) {
     let ns = iface.sep_pos.len();
     let nb = iface.bnd_pos.len();
-    let sep_verts: Vec<u32> = iface.sep_pos.iter().map(|&p| iface.verts[p as usize]).collect();
-    let bnd_verts: Vec<u32> = iface.bnd_pos.iter().map(|&p| iface.verts[p as usize]).collect();
+    let sep_verts: Vec<u32> = iface
+        .sep_pos
+        .iter()
+        .map(|&p| iface.verts[p as usize])
+        .collect();
+    let bnd_verts: Vec<u32> = iface
+        .bnd_pos
+        .iter()
+        .map(|&p| iface.verts[p as usize])
+        .collect();
     let reach = |u: u32, v: u32| -> bool {
         let via = |ci: &Interface, m: &BitMatrix| -> bool {
             match (ci.local(u), ci.local(v)) {
@@ -263,9 +271,7 @@ fn internal_closure(
         }
     }
     let log_s = (usize::BITS - ns.max(1).leading_zeros()) as u64;
-    let ops = matmul_ops(ns, ns, ns) * log_s
-        + matmul_ops(nb, ns, ns)
-        + matmul_ops(nb, ns, nb);
+    let ops = matmul_ops(ns, ns, ns) * log_s + matmul_ops(nb, ns, ns) + matmul_ops(nb, ns, nb);
     (mat, ops)
 }
 

@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spsep_baselines::{bellman_ford, dijkstra};
 use spsep_core::{alg41, alg44, analysis, preprocess, Algorithm};
-use spsep_graph::semiring::Tropical;
 use spsep_graph::generators;
+use spsep_graph::semiring::Tropical;
 use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
 
@@ -76,7 +76,12 @@ fn relation_to_alg41_eplus() {
         let w = shared
             .get(&(e.from, e.to))
             .unwrap_or_else(|| panic!("pair ({},{}) missing from shared E+", e.from, e.to));
-        assert!(*w <= e.w + 1e-9, "shared weight worse on ({},{})", e.from, e.to);
+        assert!(
+            *w <= e.w + 1e-9,
+            "shared weight worse on ({},{})",
+            e.from,
+            e.to
+        );
     }
     // Soundness of every shared edge.
     for e in &b.eplus {
@@ -113,8 +118,11 @@ fn other_families() {
     }
 
     let (geo, coords) = generators::geometric(200, 2, 0.15, &mut rng);
-    let gtree =
-        builders::geometric_tree(&geo.undirected_skeleton(), &coords, RecursionLimits::default());
+    let gtree = builders::geometric_tree(
+        &geo.undirected_skeleton(),
+        &coords,
+        RecursionLimits::default(),
+    );
     let pre = preprocess::<Tropical>(&geo, &gtree, Algorithm::SharedDoubling, &metrics).unwrap();
     let truth = dijkstra(&geo, 0);
     let (dist, _) = pre.distances_seq(0);

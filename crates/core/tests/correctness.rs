@@ -131,8 +131,7 @@ fn theorem_3_1_diameter_bound() {
         let pre = preprocess::<Tropical>(&g, &tree, Algorithm::LeavesUp, &metrics).unwrap();
         let stats = pre.stats();
         let bound = 4 * stats.d_g as usize + 2 * stats.leaf_bound + 1;
-        let diam =
-            analysis::min_weight_diameter::<Tropical>(g.n(), pre.augmented_edges()).unwrap();
+        let diam = analysis::min_weight_diameter::<Tropical>(g.n(), pre.augmented_edges()).unwrap();
         assert!(
             diam <= bound,
             "dims {dims:?}: diam(G+) = {diam} > bound {bound} (d_G={}, l={})",
@@ -306,8 +305,7 @@ fn planar_mesh_with_cycle_separators() {
         // Theorem 3.1 bound on this decomposition too.
         let stats = pre.stats();
         let bound = 4 * stats.d_g as usize + 2 * stats.leaf_bound + 1;
-        let diam =
-            analysis::min_weight_diameter::<Tropical>(g.n(), pre.augmented_edges()).unwrap();
+        let diam = analysis::min_weight_diameter::<Tropical>(g.n(), pre.augmented_edges()).unwrap();
         assert!(diam <= bound);
     }
 }
@@ -405,8 +403,7 @@ fn full_transitive_closure_matches_dense() {
     let mut rng = StdRng::seed_from_u64(150);
     let dag = generators::layered_dag(5, 9, 2, &mut rng);
     let g = dag.map_weights(|_| true);
-    let tree =
-        builders::bfs_tree(&g.undirected_skeleton(), RecursionLimits::default());
+    let tree = builders::bfs_tree(&g.undirected_skeleton(), RecursionLimits::default());
     let metrics = Metrics::new();
     let pre = reach::preprocess_reach(&g, &tree, &metrics);
     let ours = reach::transitive_closure(&pre);
@@ -556,7 +553,13 @@ fn degenerate_graphs() {
 
     let g = DiGraph::from_edges(2, vec![spsep_graph::Edge::new(0, 1, 3.5)]);
     let adj = g.undirected_skeleton();
-    let tree = builders::bfs_tree(&adj, RecursionLimits { leaf_size: 1, ..Default::default() });
+    let tree = builders::bfs_tree(
+        &adj,
+        RecursionLimits {
+            leaf_size: 1,
+            ..Default::default()
+        },
+    );
     let pre = preprocess::<Tropical>(&g, &tree, Algorithm::PathDoubling, &metrics).unwrap();
     assert_eq!(pre.distances_seq(0).0, vec![0.0, 3.5]);
     assert!(pre.distances_seq(1).0[0].is_infinite());

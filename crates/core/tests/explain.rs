@@ -78,17 +78,16 @@ fn geometric_witnesses_satisfy_theorem_structure() {
     let mut rng = StdRng::seed_from_u64(304);
     let (gf, coords) = generators::geometric(150, 2, 0.16, &mut rng);
     let g = to_int(&gf);
-    let tree =
-        builders::geometric_tree(&g.undirected_skeleton(), &coords, RecursionLimits::default());
+    let tree = builders::geometric_tree(
+        &g.undirected_skeleton(),
+        &coords,
+        RecursionLimits::default(),
+    );
     check_exact(&g, &tree, &[0, 75]);
 }
 
 /// Float path: optimality and tightness hold; structure flags reported.
-fn check_float(
-    g: &DiGraph<f64>,
-    pre: &Preprocessed<Tropical>,
-    source: usize,
-) {
+fn check_float(g: &DiGraph<f64>, pre: &Preprocessed<Tropical>, source: usize) {
     let (dist, _) = pre.distances_seq(source);
     for (target, &dt) in dist.iter().enumerate() {
         if target == source || dt.is_infinite() {

@@ -453,9 +453,7 @@ impl<S: Semiring> SemiMatrix<S> {
                 }
             };
             if n >= PAR_FW_MIN_N {
-                self.data
-                    .par_chunks_mut(n)
-                    .for_each(process_row);
+                self.data.par_chunks_mut(n).for_each(process_row);
             } else {
                 for i in 0..n {
                     process_row(&mut self.data[i * n..(i + 1) * n]);

@@ -149,7 +149,13 @@ pub(crate) fn scalar_relax(alg: LaneAlgebra, dst: &mut [f64], dik: f64, src: &[f
 /// a fabricated [`SimdLevel`] can never execute instructions the CPU
 /// lacks. Slices of unequal length relax the common prefix (the kernels
 /// always pass equal lengths; `debug_assert`ed).
-pub fn relax_f64(alg: LaneAlgebra, level: SimdLevel, dst: &mut [f64], dik: f64, src: &[f64]) -> bool {
+pub fn relax_f64(
+    alg: LaneAlgebra,
+    level: SimdLevel,
+    dst: &mut [f64],
+    dik: f64,
+    src: &[f64],
+) -> bool {
     debug_assert_eq!(dst.len(), src.len());
     let Some(cap) = detect() else {
         return scalar_relax(alg, dst, dik, src);
@@ -185,7 +191,8 @@ pub(crate) fn relax_slice<S: Semiring>(
         // SAFETY: `S::W` was just proven to be exactly `f64` (same type,
         // hence same layout); the raw-parts round trip preserves length
         // and provenance, and `dik` is re-read as the same bits.
-        let d = unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<f64>(), dst.len()) };
+        let d =
+            unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<f64>(), dst.len()) };
         // SAFETY: as above, `&[S::W]` is `&[f64]`.
         let s = unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<f64>(), src.len()) };
         // SAFETY: `S::W` is `f64`; `transmute_copy` reinterprets the bits.
@@ -420,7 +427,10 @@ mod tests {
                         let mut sc_dst = base.clone();
                         let cv = relax_f64(alg, level, &mut vec_dst, dik, &src);
                         let cs = scalar_relax(alg, &mut sc_dst, dik, &src);
-                        assert_eq!(cv, cs, "changed flag: {alg:?} {level:?} len={len} dik={dik}");
+                        assert_eq!(
+                            cv, cs,
+                            "changed flag: {alg:?} {level:?} len={len} dik={dik}"
+                        );
                         for (i, (a, b)) in vec_dst.iter().zip(&sc_dst).enumerate() {
                             assert_eq!(
                                 a.to_bits(),

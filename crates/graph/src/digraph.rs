@@ -265,12 +265,16 @@ impl<W: Copy> DiGraph<W> {
 
     /// Edges leaving `v`.
     pub fn out_edges(&self, v: usize) -> impl Iterator<Item = &Edge<W>> + '_ {
-        self.out_edge_ids(v).iter().map(move |&id| &self.edges[id as usize])
+        self.out_edge_ids(v)
+            .iter()
+            .map(move |&id| &self.edges[id as usize])
     }
 
     /// Edges entering `v`.
     pub fn in_edges(&self, v: usize) -> impl Iterator<Item = &Edge<W>> + '_ {
-        self.in_edge_ids(v).iter().map(move |&id| &self.edges[id as usize])
+        self.in_edge_ids(v)
+            .iter()
+            .map(move |&id| &self.edges[id as usize])
     }
 
     /// Out-degree of `v`.
@@ -490,10 +494,7 @@ mod tests {
 
     #[test]
     fn parallel_edges_are_preserved() {
-        let g = DiGraph::from_edges(
-            2,
-            vec![Edge::new(0, 1, 1.0), Edge::new(0, 1, 2.0)],
-        );
+        let g = DiGraph::from_edges(2, vec![Edge::new(0, 1, 1.0), Edge::new(0, 1, 2.0)]);
         assert_eq!(g.m(), 2);
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degree(1), 2);

@@ -348,7 +348,9 @@ mod tests {
         // Arcs come in antiparallel pairs.
         let mut pair_count = std::collections::HashMap::new();
         for e in g.edges() {
-            *pair_count.entry((e.from.min(e.to), e.from.max(e.to))).or_insert(0) += 1;
+            *pair_count
+                .entry((e.from.min(e.to), e.from.max(e.to)))
+                .or_insert(0) += 1;
         }
         assert!(pair_count.values().all(|&c| c % 2 == 0));
         // Every edge respects the radius.

@@ -270,10 +270,7 @@ pub fn read_csv_edges<R: BufRead>(input: R) -> Result<DiGraph<f64>, SpsepError> 
 /// Serialize `g` as a CSV edge list readable by [`read_csv_edges`].
 /// Weights print in shortest-round-trip form, so an export→import
 /// cycle reproduces the graph bit-for-bit (proven by property test).
-pub fn write_csv_edges<Wr: std::io::Write>(
-    g: &DiGraph<f64>,
-    out: &mut Wr,
-) -> std::io::Result<()> {
+pub fn write_csv_edges<Wr: std::io::Write>(g: &DiGraph<f64>, out: &mut Wr) -> std::io::Result<()> {
     use std::fmt::Write as _;
     let mut buf = String::from("from,to,weight\n");
     for e in g.edges() {
@@ -439,12 +436,12 @@ mod tests {
         let ss = "c sources\np aux sp ss 3\ns 1\ns 5\ns 10\n";
         assert_eq!(read_ss(ss.as_bytes(), 10).unwrap(), vec![0, 4, 9]);
         for bad in [
-            "s 1\n",                        // source before problem line
-            "p aux sp ss 1\n",              // count mismatch
-            "p aux sp ss 1\ns 11\n",        // out of range
-            "p aux sp ss 1\ns 0\n",         // ids are 1-based
-            "p sp ss 1\ns 1\n",             // malformed header
-            "p aux sp ss 1\ns 1\nq 2\n",    // unknown record
+            "s 1\n",                          // source before problem line
+            "p aux sp ss 1\n",                // count mismatch
+            "p aux sp ss 1\ns 11\n",          // out of range
+            "p aux sp ss 1\ns 0\n",           // ids are 1-based
+            "p sp ss 1\ns 1\n",               // malformed header
+            "p aux sp ss 1\ns 1\nq 2\n",      // unknown record
             "p aux sp ss 1\np aux sp ss 1\n", // duplicate header
         ] {
             let err = read_ss(bad.as_bytes(), 10).unwrap_err();
@@ -456,11 +453,7 @@ mod tests {
     fn csr_dir_roundtrip_and_rejection() {
         let dir = std::env::temp_dir().join(format!("spsep-csr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let words = |v: &[u32]| {
-            v.iter()
-                .flat_map(|x| x.to_le_bytes())
-                .collect::<Vec<u8>>()
-        };
+        let words = |v: &[u32]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
         std::fs::write(dir.join("first_out"), words(&[0, 2, 3, 3])).unwrap();
         std::fs::write(dir.join("head"), words(&[1, 2, 0])).unwrap();
         std::fs::write(dir.join("weight"), words(&[15, 30, 45])).unwrap();

@@ -52,5 +52,5 @@ pub use dense::{simd_active, SemiMatrix};
 pub use digraph::{DiGraph, Edge};
 pub use error::SpsepError;
 pub use order::NodeOrder;
-pub use slab::{AlignedVec, Pod, Slab, SlabBytes, Store};
 pub use semiring::{Boolean, Bottleneck, MaxPlus, Reliability, Semiring, Tropical, TropicalInt};
+pub use slab::{AlignedVec, Pod, Slab, SlabBytes, Store};

@@ -518,10 +518,7 @@ mod tests {
                         S::combine(S::combine(a, b), c),
                         S::combine(a, S::combine(b, c))
                     );
-                    assert_eq!(
-                        S::extend(S::extend(a, b), c),
-                        S::extend(a, S::extend(b, c))
-                    );
+                    assert_eq!(S::extend(S::extend(a, b), c), S::extend(a, S::extend(b, c)));
                     // Distributivity of extend over combine.
                     assert_eq!(
                         S::extend(a, S::combine(b, c)),
@@ -558,14 +555,7 @@ mod tests {
 
     #[test]
     fn bottleneck_axioms() {
-        check_axioms::<Bottleneck>(&[
-            0.0,
-            1.0,
-            -2.5,
-            7.25,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-        ]);
+        check_axioms::<Bottleneck>(&[0.0, 1.0, -2.5, 7.25, f64::NEG_INFINITY, f64::INFINITY]);
     }
 
     #[test]

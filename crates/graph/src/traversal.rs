@@ -27,11 +27,7 @@ pub fn bfs_directed<W: Copy>(g: &DiGraph<W>, source: usize) -> Vec<u32> {
 
 /// BFS hop distances from `source` over an undirected adjacency structure
 /// restricted to the vertices where `active` is true.
-pub fn bfs_undirected_masked(
-    adj: &[Vec<u32>],
-    source: usize,
-    active: &[bool],
-) -> Vec<u32> {
+pub fn bfs_undirected_masked(adj: &[Vec<u32>], source: usize, active: &[bool]) -> Vec<u32> {
     let mut dist = vec![u32::MAX; adj.len()];
     if !active[source] {
         return dist;

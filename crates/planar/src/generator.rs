@@ -53,11 +53,7 @@ impl HammockGraph {
 /// Generate a hammock graph: `side × side` skeleton, every skeleton edge
 /// replaced by a ladder of `ladder_len` rungs, weights uniform in `[1,2)`
 /// scaled by per-edge jitter.
-pub fn generate_hammock_graph(
-    side: usize,
-    ladder_len: usize,
-    rng: &mut impl Rng,
-) -> HammockGraph {
+pub fn generate_hammock_graph(side: usize, ladder_len: usize, rng: &mut impl Rng) -> HammockGraph {
     assert!(side >= 2 && ladder_len >= 1);
     let q = side * side;
     let mut edges: Vec<Edge<f64>> = Vec::new();
@@ -109,11 +105,7 @@ pub fn generate_hammock_graph(
         add_bidi(&mut edges, a, rail2[0], rng);
         add_bidi(&mut edges, b, rail1[ladder_len - 1], rng);
         add_bidi(&mut edges, b, rail2[ladder_len - 1], rng);
-        let mut vertices: Vec<u32> = rail1
-            .iter()
-            .chain(&rail2)
-            .map(|&v| v as u32)
-            .collect();
+        let mut vertices: Vec<u32> = rail1.iter().chain(&rail2).map(|&v| v as u32).collect();
         vertices.push(a as u32);
         vertices.push(b as u32);
         vertices.sort_unstable();
@@ -197,8 +189,7 @@ mod tests {
     fn graph_is_connected() {
         let mut rng = StdRng::seed_from_u64(3);
         let hg = generate_hammock_graph(4, 2, &mut rng);
-        let comp =
-            spsep_graph::traversal::undirected_components(&hg.graph.undirected_skeleton());
+        let comp = spsep_graph::traversal::undirected_components(&hg.graph.undirected_skeleton());
         assert!(comp.iter().all(|&c| c == 0));
     }
 }

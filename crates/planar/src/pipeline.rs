@@ -48,18 +48,20 @@ impl<'a> HammockSP<'a> {
             .hammocks
             .par_iter()
             .map(|h| {
-                let (sub, _map) = hg.graph.induced_subgraph(
-                    &h.vertices.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                );
+                let (sub, _map) = hg
+                    .graph
+                    .induced_subgraph(&h.vertices.iter().map(|&v| v as usize).collect::<Vec<_>>());
                 let adj = sub.undirected_skeleton();
                 let tree = builders::bfs_tree(&adj, RecursionLimits::default());
                 let local_metrics = Metrics::new();
                 let pre = preprocess::<Tropical>(&sub, &tree, Algorithm::LeavesUp, &local_metrics)
                     .expect("hammock weights are positive");
                 let rev = sub.reversed();
-                let rtree = builders::bfs_tree(&rev.undirected_skeleton(), RecursionLimits::default());
-                let rpre = preprocess::<Tropical>(&rev, &rtree, Algorithm::LeavesUp, &local_metrics)
-                    .expect("hammock weights are positive");
+                let rtree =
+                    builders::bfs_tree(&rev.undirected_skeleton(), RecursionLimits::default());
+                let rpre =
+                    preprocess::<Tropical>(&rev, &rtree, Algorithm::LeavesUp, &local_metrics)
+                        .expect("hammock weights are positive");
                 let att_local: Vec<usize> = h
                     .attachments
                     .iter()
@@ -140,9 +142,10 @@ impl<'a> HammockSP<'a> {
             let s_local = h.vertices.binary_search(&(source as u32)).unwrap();
             // Within-hammock distances from the source need one dedicated
             // small SSSP (the precomputed tables are attachment-rooted).
-            let (sub, map) = self.hg.graph.induced_subgraph(
-                &h.vertices.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-            );
+            let (sub, map) = self
+                .hg
+                .graph
+                .induced_subgraph(&h.vertices.iter().map(|&v| v as usize).collect::<Vec<_>>());
             let local = spsep_baselines::dijkstra(&sub, s_local);
             for (k, &g_id) in map.iter().enumerate() {
                 if local.dist[k] < dist[g_id] {
@@ -213,9 +216,10 @@ impl<'a> HammockSP<'a> {
         for &hi in &self.hammocks_of[u] {
             if self.hammocks_of[v].contains(&hi) {
                 let h = &self.hg.hammocks[hi as usize];
-                let (sub, _) = self.hg.graph.induced_subgraph(
-                    &h.vertices.iter().map(|&x| x as usize).collect::<Vec<_>>(),
-                );
+                let (sub, _) = self
+                    .hg
+                    .graph
+                    .induced_subgraph(&h.vertices.iter().map(|&x| x as usize).collect::<Vec<_>>());
                 let ul = h.vertices.binary_search(&(u as u32)).unwrap();
                 let vl = h.vertices.binary_search(&(v as u32)).unwrap();
                 best = best.min(spsep_baselines::dijkstra(&sub, ul).dist[vl]);
@@ -257,9 +261,10 @@ impl<'a> HammockSP<'a> {
     /// Shortest path within one hammock (by index), as global vertex ids.
     fn hammock_path(&self, hi: usize, u: usize, v: usize) -> Option<Vec<u32>> {
         let h = &self.hg.hammocks[hi];
-        let (sub, map) = self.hg.graph.induced_subgraph(
-            &h.vertices.iter().map(|&x| x as usize).collect::<Vec<_>>(),
-        );
+        let (sub, map) = self
+            .hg
+            .graph
+            .induced_subgraph(&h.vertices.iter().map(|&x| x as usize).collect::<Vec<_>>());
         let ul = h.vertices.binary_search(&(u as u32)).ok()?;
         let vl = h.vertices.binary_search(&(v as u32)).ok()?;
         let r = spsep_baselines::dijkstra(&sub, ul);
@@ -308,9 +313,7 @@ impl<'a> HammockSP<'a> {
                     let vl = h2.vertices.binary_search(&(v as u32)).unwrap();
                     for (j, &a2) in h2.attachments.iter().enumerate() {
                         let w = d_ua + row[a2 as usize] + t2.from_att[j][vl];
-                        if w.is_finite()
-                            && choice.as_ref().is_none_or(|(cw, ..)| w < *cw)
-                        {
+                        if w.is_finite() && choice.as_ref().is_none_or(|(cw, ..)| w < *cw) {
                             choice = Some((w, hu as usize, a, a2, hv));
                         }
                     }

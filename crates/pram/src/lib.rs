@@ -178,7 +178,11 @@ pub struct Report {
 impl Report {
     /// Total work across all counters.
     pub fn total_work(&self) -> u64 {
-        self.relaxation + self.floyd_warshall + self.doubling + self.limited + self.matmul
+        self.relaxation
+            + self.floyd_warshall
+            + self.doubling
+            + self.limited
+            + self.matmul
             + self.dijkstra
             + self.other
     }

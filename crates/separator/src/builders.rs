@@ -279,7 +279,12 @@ fn bfs_finder(sub: &SubProblem) -> Separation {
     // ties towards smaller separators.
     let mut below = level_sizes[0];
     let mut best: Option<(usize, usize, usize)> = None; // (max_side, sep, level)
-    for (l, &sep) in level_sizes.iter().enumerate().take(max_level as usize).skip(1) {
+    for (l, &sep) in level_sizes
+        .iter()
+        .enumerate()
+        .take(max_level as usize)
+        .skip(1)
+    {
         let above = n - below - sep;
         let score = below.max(above);
         if best.is_none_or(|(s, sp, _)| score < s || (score == s && sep < sp)) {
@@ -334,7 +339,13 @@ pub fn grid_tree(dims: &[usize], limits: RecursionLimits) -> SepTree {
 /// Decomposition tree for an embedded graph via geometric median cuts.
 pub fn geometric_tree(adj: &[Vec<u32>], coords: &Coords, limits: RecursionLimits) -> SepTree {
     assert_eq!(adj.len(), coords.len());
-    decompose(adj, coords.as_flat(), coords.dim(), limits, &geometric_finder)
+    decompose(
+        adj,
+        coords.as_flat(),
+        coords.dim(),
+        limits,
+        &geometric_finder,
+    )
 }
 
 /// Decomposition tree for a tree-shaped graph via centroid separators
@@ -437,7 +448,10 @@ mod tests {
         // Two 3x3 grids, disjoint.
         let (g, _) = spsep_graph::generators::grid_with_weights(&[3, 3], |_, _| 1.0);
         let mut adj = g.undirected_skeleton();
-        let shift: Vec<Vec<u32>> = adj.iter().map(|l| l.iter().map(|&v| v + 9).collect()).collect();
+        let shift: Vec<Vec<u32>> = adj
+            .iter()
+            .map(|l| l.iter().map(|&v| v + 9).collect())
+            .collect();
         adj.extend(shift);
         let tree = bfs_tree(&adj, RecursionLimits::default());
         tree.validate(&adj).expect("valid");
@@ -454,7 +468,13 @@ mod tests {
         let adj: Vec<Vec<u32>> = (0..n)
             .map(|v| (0..n as u32).filter(|&u| u != v as u32).collect())
             .collect();
-        let tree = bfs_tree(&adj, RecursionLimits { leaf_size: 2, ..Default::default() });
+        let tree = bfs_tree(
+            &adj,
+            RecursionLimits {
+                leaf_size: 2,
+                ..Default::default()
+            },
+        );
         tree.validate(&adj).expect("valid");
     }
 

@@ -11,8 +11,8 @@
 //! children (`V(tᵢ) = Vᵢ ∪ S(t)`), which guarantees
 //! `S(t) ⊆ B(t₁) ∩ B(t₂)` — the property Algorithm 4.1 relies on.
 
-use crate::tree::{SepNode, SepTree};
 use crate::builders::components_split;
+use crate::tree::{SepNode, SepTree};
 
 /// A subproblem handed to a separator finder: the induced subgraph on
 /// `global` (local ids are positions in `global`), with adjacency `adj`
@@ -118,9 +118,11 @@ where
         assert_eq!(payload.len(), n * payload_width);
     }
     let limits = RecursionLimits {
-        max_depth: Some(limits.max_depth.unwrap_or_else(|| {
-            8 * (usize::BITS - n.leading_zeros()) as usize + 32
-        })),
+        max_depth: Some(
+            limits
+                .max_depth
+                .unwrap_or_else(|| 8 * (usize::BITS - n.leading_zeros()) as usize + 32),
+        ),
         ..limits
     };
     let root_sub = SubProblem {
@@ -163,7 +165,11 @@ where
         return leaf_from(&sub);
     }
     let separator_global: Vec<u32> = {
-        let mut s: Vec<u32> = sep.separator.iter().map(|&v| sub.global[v as usize]).collect();
+        let mut s: Vec<u32> = sep
+            .separator
+            .iter()
+            .map(|&v| sub.global[v as usize])
+            .collect();
         s.sort_unstable();
         s
     };
@@ -313,12 +319,19 @@ mod tests {
     fn disconnected_subgraphs_split_on_components() {
         // Two disjoint paths 0–1–2 and 3–4–5.
         let mut adj = path_adj(3);
-        adj.extend(path_adj(3).into_iter().map(|l| l.iter().map(|&v| v + 3).collect()));
+        adj.extend(
+            path_adj(3)
+                .into_iter()
+                .map(|l| l.iter().map(|&v| v + 3).collect()),
+        );
         let tree = decompose(
             &adj,
             &[],
             0,
-            RecursionLimits { leaf_size: 2, ..Default::default() },
+            RecursionLimits {
+                leaf_size: 2,
+                ..Default::default()
+            },
             &midpoint_finder,
         );
         tree.validate(&adj).expect("valid");
@@ -339,7 +352,16 @@ mod tests {
             }
             midpoint_finder(sub)
         };
-        let tree = decompose(&adj, &payload, 1, RecursionLimits { leaf_size: 2, ..Default::default() }, &finder);
+        let tree = decompose(
+            &adj,
+            &payload,
+            1,
+            RecursionLimits {
+                leaf_size: 2,
+                ..Default::default()
+            },
+            &finder,
+        );
         tree.validate(&adj).expect("valid");
         assert!(!seen.lock().unwrap().is_empty());
     }
@@ -354,7 +376,16 @@ mod tests {
             side1: (0..sub.len() as u32).collect(),
             side2: vec![],
         };
-        let tree = decompose(&adj, &[], 0, RecursionLimits { leaf_size: 2, ..Default::default() }, &bad);
+        let tree = decompose(
+            &adj,
+            &[],
+            0,
+            RecursionLimits {
+                leaf_size: 2,
+                ..Default::default()
+            },
+            &bad,
+        );
         tree.validate(&adj).expect("valid (single giant leaf)");
         assert_eq!(tree.nodes().len(), 1);
         assert_eq!(tree.max_leaf_size(), 10);

@@ -93,11 +93,7 @@ impl Triangulation {
 /// family with `Θ(√n)` BFS height. Directed edge weights uniform in
 /// `[1, 2)`; the diagonal orientation alternates to avoid degenerate
 /// long chords.
-pub fn triangulated_grid(
-    w: usize,
-    h: usize,
-    rng: &mut impl Rng,
-) -> (DiGraph<f64>, Triangulation) {
+pub fn triangulated_grid(w: usize, h: usize, rng: &mut impl Rng) -> (DiGraph<f64>, Triangulation) {
     assert!(w >= 2 && h >= 2);
     let n = w * h;
     let id = |r: usize, c: usize| (r * w + c) as u32;
@@ -185,7 +181,10 @@ const ARTERIAL_EVERY: usize = 8;
 /// function of `(w, h, seed)`, so the committed `data/` instance can be
 /// regenerated and diffed byte-for-byte.
 pub fn road_network(w: usize, h: usize, seed: u64) -> (DiGraph<f64>, Coords, Triangulation) {
-    assert!(w >= 2 && h >= 2, "road_network needs at least a 2×2 lattice");
+    assert!(
+        w >= 2 && h >= 2,
+        "road_network needs at least a 2×2 lattice"
+    );
     let n = w * h;
     let mut state = seed ^ 0x9e3779b97f4a7c15;
     // Warm the xorshift state so small seeds decorrelate.
@@ -232,7 +231,11 @@ pub fn road_network(w: usize, h: usize, seed: u64) -> (DiGraph<f64>, Coords, Tri
             let q = coords.point(u as usize);
             let len = ((p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2)).sqrt();
             // Both endpoints on an arterial line ⇒ a fast road segment.
-            let class = if arterial(v as u32) && arterial(u) { 0.55 } else { 1.0 };
+            let class = if arterial(v as u32) && arterial(u) {
+                0.55
+            } else {
+                1.0
+            };
             let dir = |state: &mut u64| {
                 let t = len * class * (1.0 + 0.3 * unit(state));
                 (t * 10.0).round() / 10.0
@@ -382,10 +385,12 @@ fn level_cycle_finder(sub: &SubProblem) -> Separation {
         .rev()
         .find(|&t| level_sizes[t] <= budget)
         .unwrap_or(0);
-    let t2 = (median + 1..=max_level).find(|&t| level_sizes[t] <= budget).or_else(|| {
-        // Every level above the median is fat: take the thinnest one.
-        (median + 1..=max_level).min_by_key(|&t| (level_sizes[t], t))
-    });
+    let t2 = (median + 1..=max_level)
+        .find(|&t| level_sizes[t] <= budget)
+        .or_else(|| {
+            // Every level above the median is fat: take the thinnest one.
+            (median + 1..=max_level).min_by_key(|&t| (level_sizes[t], t))
+        });
     let Some(t2) = t2 else {
         // The median level is the last level; fall back to the best
         // interior level (both sides nonempty by construction).
@@ -532,7 +537,9 @@ fn best_single_level(
 /// deterministic even-stride sample of the non-tree edges. Returns the
 /// cycle's vertices, or `None` when the band is a tree (no cycle).
 fn best_band_cycle(adj: &[Vec<u32>], comp: &[u32], giant: u32, n: usize) -> Option<Vec<u32>> {
-    let members: Vec<u32> = (0..n as u32).filter(|&v| comp[v as usize] == giant).collect();
+    let members: Vec<u32> = (0..n as u32)
+        .filter(|&v| comp[v as usize] == giant)
+        .collect();
     // Root the BFS tree at the member with the lowest id (deterministic).
     let root = *members.first()?;
     let mut parent = vec![u32::MAX; n];
@@ -593,10 +600,7 @@ fn best_band_cycle(adj: &[Vec<u32>], comp: &[u32], giant: u32, n: usize) -> Opti
             while let Some(v) = stack.pop() {
                 size += 1;
                 for &u in &adj[v as usize] {
-                    if comp[u as usize] == giant
-                        && !on_cycle[u as usize]
-                        && !seen[u as usize]
-                    {
+                    if comp[u as usize] == giant && !on_cycle[u as usize] && !seen[u as usize] {
                         seen[u as usize] = true;
                         stack.push(u);
                     }
@@ -612,10 +616,7 @@ fn best_band_cycle(adj: &[Vec<u32>], comp: &[u32], giant: u32, n: usize) -> Opti
             continue;
         }
         let key = (largest, cycle.len());
-        if best
-            .as_ref()
-            .is_none_or(|(l, c, _)| key < (*l, *c))
-        {
+        if best.as_ref().is_none_or(|(l, c, _)| key < (*l, *c)) {
             best = Some((largest, cycle.len(), cycle));
         }
     }
@@ -675,11 +676,7 @@ pub fn certify_near_planar(adj: &[Vec<u32>]) -> NearPlanarCheck {
                 break None;
             }
             match buckets[cursor].pop() {
-                Some(v)
-                    if !removed[v as usize] && degree[v as usize] == cursor =>
-                {
-                    break Some(v)
-                }
+                Some(v) if !removed[v as usize] && degree[v as usize] == cursor => break Some(v),
                 Some(_) => continue,
                 None => cursor += 1,
             }
@@ -931,7 +928,13 @@ mod tests {
         tree.validate(&k6).unwrap();
         // Disconnected input is the engine's job, not the finder's.
         let two: Vec<Vec<u32>> = vec![vec![1], vec![0], vec![3], vec![2]];
-        let tree = planar_level_tree(&two, RecursionLimits { leaf_size: 1, ..Default::default() });
+        let tree = planar_level_tree(
+            &two,
+            RecursionLimits {
+                leaf_size: 1,
+                ..Default::default()
+            },
+        );
         tree.validate(&two).unwrap();
     }
 

@@ -288,9 +288,17 @@ impl SepTree {
             }
         }
         let root = &self.nodes[0];
-        if root.vertices.len() != n || root.vertices.iter().enumerate().any(|(i, &v)| v != i as u32)
+        if root.vertices.len() != n
+            || root
+                .vertices
+                .iter()
+                .enumerate()
+                .any(|(i, &v)| v != i as u32)
         {
-            return Err(SpsepError::invalid_node(0, "root must contain exactly 0..n"));
+            return Err(SpsepError::invalid_node(
+                0,
+                "root must contain exactly 0..n",
+            ));
         }
         if !root.boundary.is_empty() {
             return Err(SpsepError::invalid_node(0, "root boundary must be empty"));
@@ -326,7 +334,10 @@ impl SepTree {
                 if self.nodes[c1 as usize].parent != Some(node_id)
                     || self.nodes[c2 as usize].parent != Some(node_id)
                 {
-                    return Err(SpsepError::invalid_node(node_id, "child parent link broken"));
+                    return Err(SpsepError::invalid_node(
+                        node_id,
+                        "child parent link broken",
+                    ));
                 }
                 if self.nodes[c1 as usize].level != t.level + 1
                     || self.nodes[c2 as usize].level != t.level + 1
@@ -417,13 +428,20 @@ impl SepTree {
                 }
                 // Boundary recurrence B(t) = (S(p) ∪ B(p)) ∩ V(t).
                 let p = &self.nodes[parent_id as usize];
-                let expect = sorted_intersection(&sorted_union(&p.separator, &p.boundary), &t.vertices);
+                let expect =
+                    sorted_intersection(&sorted_union(&p.separator, &p.boundary), &t.vertices);
                 if expect != t.boundary {
-                    return Err(SpsepError::invalid_node(node_id, "boundary recurrence violated"));
+                    return Err(SpsepError::invalid_node(
+                        node_id,
+                        "boundary recurrence violated",
+                    ));
                 }
             }
             if t.is_leaf() && !t.separator.is_empty() {
-                return Err(SpsepError::invalid_node(node_id, "leaf with nonempty separator"));
+                return Err(SpsepError::invalid_node(
+                    node_id,
+                    "leaf with nonempty separator",
+                ));
             }
         }
         // Vertex maps.

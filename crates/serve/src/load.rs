@@ -267,12 +267,7 @@ impl ConnOutcome {
 }
 
 /// Compare a response bit-for-bit against direct oracle answers.
-fn verify_response(
-    oracle: &Oracle,
-    metrics: &Metrics,
-    req: &Request,
-    resp: &Response,
-) -> bool {
+fn verify_response(oracle: &Oracle, metrics: &Metrics, req: &Request, resp: &Response) -> bool {
     match (req, resp) {
         (Request::Point { source, target }, Response::Dist(d)) => oracle
             .distance(*source as usize, *target as usize, metrics)
@@ -449,8 +444,7 @@ fn percentile_us(sorted: &[u64], q: f64) -> f64 {
 /// (a liveness ping fails); per-request failures are *reported*, not
 /// raised.
 pub fn run_load(config: &LoadConfig) -> Result<LoadReport, SpsepError> {
-    Client::connect(config.addr.as_str(), config.timeout)?
-        .request(&Request::Ping)?;
+    Client::connect(config.addr.as_str(), config.timeout)?.request(&Request::Ping)?;
     let scrape_before = scrape_metrics(config);
     let schedule = build_schedule(config);
     let conns = config.connections.max(1);

@@ -177,7 +177,14 @@ pub fn validate_load_report_json(json: &str) -> Result<(), String> {
             if dint("workers")? < 1.0 {
                 return Err("daemon `workers` must be >= 1".into());
             }
-            for key in ["accepted", "shed", "served", "io_errors", "cache_hits", "cache_misses"] {
+            for key in [
+                "accepted",
+                "shed",
+                "served",
+                "io_errors",
+                "cache_hits",
+                "cache_misses",
+            ] {
                 dint(key)?;
             }
             for stem in ["queue", "service"] {
@@ -271,9 +278,7 @@ mod tests {
         let good = load_report_json("127.0.0.1:9000", 500.0, 2.0, 4, &sample());
         assert!(validate_load_report_json("").is_err());
         assert!(validate_load_report_json("{}").is_err());
-        assert!(
-            validate_load_report_json(&good.replace("spsep-load-report/v1", "x/v9")).is_err()
-        );
+        assert!(validate_load_report_json(&good.replace("spsep-load-report/v1", "x/v9")).is_err());
 
         // ok > scheduled.
         let mut r = sample();
@@ -289,7 +294,8 @@ mod tests {
 
         // A negative counter delta breaks monotonicity.
         let mut r = sample();
-        r.metrics_delta.insert("spsep_served_total".to_string(), -3.0);
+        r.metrics_delta
+            .insert("spsep_served_total".to_string(), -3.0);
         let json = load_report_json("a:1", 500.0, 2.0, 4, &r);
         let err = validate_load_report_json(&json).unwrap_err();
         assert!(err.contains("monotone"), "{err}");

@@ -36,9 +36,7 @@
 //!   lock path; disabling it (runtime switch or compiling without the
 //!   `telemetry` feature) never changes an answer byte.
 
-use crate::protocol::{
-    self, Request, Response, WireError, WireStats, MAX_FRAME,
-};
+use crate::protocol::{self, Request, Response, WireError, WireStats, MAX_FRAME};
 use crate::telemetry::{op_index, ServerTelemetry, OP_LABELS};
 use spsep_core::{Algorithm, Oracle};
 use spsep_graph::SpsepError;
@@ -415,7 +413,12 @@ fn admit(shared: &Shared, stream: TcpStream) {
         if shared.tel.on() {
             shared.tel.shed.inc();
         }
-        refuse(shared, stream, WireError::Overloaded, "connection queue full");
+        refuse(
+            shared,
+            stream,
+            WireError::Overloaded,
+            "connection queue full",
+        );
         return;
     }
     shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -493,8 +496,9 @@ fn worker_loop(shared: &Shared, worker: u32) {
             conn.queue_wait_ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
             conn.fresh = false;
         }
-        let outcome =
-            panic::catch_unwind(AssertUnwindSafe(|| serve_connection(shared, &mut conn, worker)));
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            serve_connection(shared, &mut conn, worker)
+        }));
         match outcome {
             Ok(ConnFate::Yielded) => {
                 if shared.tel.on() {
@@ -576,12 +580,11 @@ fn next_frame(shared: &Shared, conn: &mut Conn) -> Boundary {
             }
             Ok(protocol::FrameStart::Started(b)) => {
                 conn.last_activity = Instant::now();
-                let _ = conn.stream.set_read_timeout(Some(shared.config.read_timeout));
-                return match protocol::read_frame_rest(
-                    &mut conn.stream,
-                    b,
-                    shared.config.max_frame,
-                ) {
+                let _ = conn
+                    .stream
+                    .set_read_timeout(Some(shared.config.read_timeout));
+                return match protocol::read_frame_rest(&mut conn.stream, b, shared.config.max_frame)
+                {
                     Ok(payload) => Boundary::Frame(payload),
                     Err(SpsepError::Io(_)) => Boundary::Dead,
                     Err(e) => Boundary::Broken(e),
@@ -611,10 +614,14 @@ fn serve_connection(shared: &Shared, conn: &mut Conn, worker: u32) -> ConnFate {
                 // Framing violation (oversized/zero prefix, mid-frame
                 // truncation or stall): answer typed, then close — the
                 // stream position is unrecoverable.
-                send(shared, &mut conn.stream, Response::Error {
-                    code: WireError::Parse,
-                    message: e.to_string(),
-                });
+                send(
+                    shared,
+                    &mut conn.stream,
+                    Response::Error {
+                        code: WireError::Parse,
+                        message: e.to_string(),
+                    },
+                );
                 return ConnFate::Closed;
             }
         };
@@ -640,10 +647,14 @@ fn serve_connection(shared: &Shared, conn: &mut Conn, worker: u32) -> ConnFate {
             Err(e) => {
                 // Payload-level damage: the framing is intact, so the
                 // connection stays usable after the typed reply.
-                let keep = send(shared, stream, Response::Error {
-                    code: WireError::Parse,
-                    message: e.to_string(),
-                });
+                let keep = send(
+                    shared,
+                    stream,
+                    Response::Error {
+                        code: WireError::Parse,
+                        message: e.to_string(),
+                    },
+                );
                 shared.tel.flight_record(
                     worker,
                     seq,
@@ -670,13 +681,20 @@ fn serve_connection(shared: &Shared, conn: &mut Conn, worker: u32) -> ConnFate {
         if shared.shutting_down()
             && matches!(
                 req,
-                Request::Point { .. } | Request::Source { .. } | Request::Batch { .. } | Request::Info
+                Request::Point { .. }
+                    | Request::Source { .. }
+                    | Request::Batch { .. }
+                    | Request::Info
             )
         {
-            send(shared, stream, Response::Error {
-                code: WireError::ShuttingDown,
-                message: "daemon is draining for shutdown".to_string(),
-            });
+            send(
+                shared,
+                stream,
+                Response::Error {
+                    code: WireError::ShuttingDown,
+                    message: "daemon is draining for shutdown".to_string(),
+                },
+            );
             return ConnFate::Closed;
         }
         let resp = match req {
@@ -825,7 +843,10 @@ fn serve_http(shared: &Shared, mut stream: TcpStream) {
     let (status, body) = if request_line.starts_with(b"GET /metrics ") {
         ("200 OK", metrics_text(shared))
     } else {
-        ("404 Not Found", "only GET /metrics is served here\n".to_string())
+        (
+            "404 Not Found",
+            "only GET /metrics is served here\n".to_string(),
+        )
     };
     let response = format!(
         "HTTP/1.1 {status}\r\n\
@@ -860,9 +881,7 @@ pub fn answer_query(oracle: &Oracle, req: &Request, metrics: &Metrics) -> Option
             }
         }
         Request::Source { source } => {
-            match checked_vertex(oracle, *source)
-                .and_then(|u| oracle.source_table(u, metrics))
-            {
+            match checked_vertex(oracle, *source).and_then(|u| oracle.source_table(u, metrics)) {
                 Ok(row) => Response::Table(row.to_vec()),
                 Err(e) => query_error(&e),
             }
@@ -968,7 +987,10 @@ mod tests {
     fn server_telemetry_exposition_validates() {
         let tel = ServerTelemetry::new(2, true, Some(1_000));
         tel.count_request(op_index(&Request::Ping));
-        tel.count_request(op_index(&Request::Point { source: 0, target: 1 }));
+        tel.count_request(op_index(&Request::Point {
+            source: 0,
+            target: 1,
+        }));
         tel.count_error(WireError::Parse);
         tel.observe_queue_wait(Duration::from_micros(3));
         tel.observe_service(Duration::from_micros(120));

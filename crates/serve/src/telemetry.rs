@@ -251,8 +251,11 @@ impl ServerTelemetry {
             .set(cache.hits as f64);
         r.gauge("spsep_cache_misses", "Row-cache misses across all shards")
             .set(cache.misses as f64);
-        r.gauge("spsep_cache_evictions", "Row-cache evictions across all shards")
-            .set(cache.evictions as f64);
+        r.gauge(
+            "spsep_cache_evictions",
+            "Row-cache evictions across all shards",
+        )
+        .set(cache.evictions as f64);
         r.gauge("spsep_cache_entries", "Rows resident across all shards")
             .set(cache.entries as f64);
         r.gauge("spsep_cache_capacity", "Configured row-cache capacity")
@@ -284,8 +287,11 @@ impl ServerTelemetry {
         // creation — monotone, but exported as gauges because they are
         // sampled, not owned, by this registry.
         let pool = rayon::pool_stats();
-        r.gauge("spsep_pool_steal_backs", "join second-closures stolen back by their caller")
-            .set(pool.steal_backs as f64);
+        r.gauge(
+            "spsep_pool_steal_backs",
+            "join second-closures stolen back by their caller",
+        )
+        .set(pool.steal_backs as f64);
         r.gauge(
             "spsep_pool_reclaimed_handles",
             "Stale batch handles reclaimed by their caller",

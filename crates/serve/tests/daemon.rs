@@ -10,9 +10,7 @@
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
-use spsep_serve::{
-    Client, Request, Response, ServeConfig, Server, ServerHandle, WireError,
-};
+use spsep_serve::{Client, Request, Response, ServeConfig, Server, ServerHandle, WireError};
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -108,12 +106,16 @@ fn answers_are_bit_identical_to_direct_oracle_calls_at_every_worker_count() {
         for s in 0..n.min(6) {
             for t in [0, 1, n - 1] {
                 let want = oracle.distance(s as usize, t as usize, &metrics).unwrap();
-                match c.request(&Request::Point { source: s, target: t }).unwrap() {
-                    Response::Dist(d) => assert_eq!(
-                        d.to_bits(),
-                        want.to_bits(),
-                        "workers={workers} {s}->{t}"
-                    ),
+                match c
+                    .request(&Request::Point {
+                        source: s,
+                        target: t,
+                    })
+                    .unwrap()
+                {
+                    Response::Dist(d) => {
+                        assert_eq!(d.to_bits(), want.to_bits(), "workers={workers} {s}->{t}")
+                    }
                     other => panic!("wrong response {other:?}"),
                 }
             }
@@ -158,7 +160,10 @@ fn out_of_range_queries_get_typed_invalid_query_errors() {
     let daemon = spawn_daemon(oracle, config(2));
     let mut c = daemon.client();
     for req in [
-        Request::Point { source: n, target: 0 },
+        Request::Point {
+            source: n,
+            target: 0,
+        },
         Request::Point {
             source: 0,
             target: u64::MAX,
@@ -278,7 +283,10 @@ fn queries_during_drain_get_a_typed_shutting_down_error() {
     assert_eq!(c.request(&Request::Ping).unwrap(), Response::Pong);
     daemon.handle.shutdown();
     // The already-admitted connection's next query is refused, typed.
-    match c.request(&Request::Point { source: 0, target: 1 }) {
+    match c.request(&Request::Point {
+        source: 0,
+        target: 1,
+    }) {
         Ok(Response::Error { code, .. }) => assert_eq!(code, WireError::ShuttingDown),
         // Worker may already have closed the drained connection.
         Ok(other) => panic!("wrong response {other:?}"),
@@ -357,7 +365,13 @@ fn oversized_responses_become_invalid_query_not_a_panic() {
         other => panic!("wrong response {other:?}"),
     }
     // Small answers still fit and still serve.
-    match c.request(&Request::Point { source: 0, target: 1 }).unwrap() {
+    match c
+        .request(&Request::Point {
+            source: 0,
+            target: 1,
+        })
+        .unwrap()
+    {
         Response::Dist(d) => assert!(d.is_finite()),
         other => panic!("wrong response {other:?}"),
     }

@@ -121,7 +121,9 @@ impl FlightRecorder {
             cfg,
             epoch: Instant::now(),
             seq: AtomicU64::new(0),
-            rings: (0..workers.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            rings: (0..workers.max(1))
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
             dumps: Mutex::new(Vec::new()),
             dumps_total: AtomicU64::new(0),
         }
@@ -303,13 +305,19 @@ mod tests {
             fr.record(rec(i, (i % 2) as u32, 1000, None));
         }
         assert_eq!(fr.dumps_total(), 0);
-        assert_eq!(fr.record(rec(10, 1, 5_000_000, None)), Some(DumpReason::Slow));
+        assert_eq!(
+            fr.record(rec(10, 1, 5_000_000, None)),
+            Some(DumpReason::Slow)
+        );
         let dumps = fr.dumps();
         assert_eq!(dumps.len(), 1);
         let d = &dumps[0];
         assert_eq!(d.reason, DumpReason::Slow);
         assert_eq!(d.trigger_seq, 10);
-        assert!(d.records.iter().any(|r| r.seq == 10 && r.service_ns == 5_000_000));
+        assert!(d
+            .records
+            .iter()
+            .any(|r| r.seq == 10 && r.service_ns == 5_000_000));
         // Window is seq-sorted and spans both workers' rings.
         assert!(d.records.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(d.records.len(), 11);

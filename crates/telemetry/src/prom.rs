@@ -103,8 +103,16 @@ fn render_histogram(out: &mut String, name: &str, labels: &[(String, String)], h
         render_labels(labels, Some(("le", "+Inf"))),
         h.count
     ));
-    out.push_str(&format!("{name}_sum{} {}\n", render_labels(labels, None), h.sum));
-    out.push_str(&format!("{name}_count{} {}\n", render_labels(labels, None), h.count));
+    out.push_str(&format!(
+        "{name}_sum{} {}\n",
+        render_labels(labels, None),
+        h.sum
+    ));
+    out.push_str(&format!(
+        "{name}_count{} {}\n",
+        render_labels(labels, None),
+        h.count
+    ));
 }
 
 /// Render the registry as Prometheus text. Two renders of a quiesced
@@ -126,7 +134,11 @@ pub fn render(registry: &Registry) -> String {
         }
         match &e.value {
             SampledValue::Counter(v) => {
-                out.push_str(&format!("{}{} {v}\n", e.name, render_labels(&e.labels, None)));
+                out.push_str(&format!(
+                    "{}{} {v}\n",
+                    e.name,
+                    render_labels(&e.labels, None)
+                ));
             }
             SampledValue::Gauge(v) => {
                 out.push_str(&format!(
@@ -191,12 +203,16 @@ fn parse_sample_line(line: &str) -> Result<Sample, String> {
     let mut labels = Vec::new();
     let value_part;
     if let Some(body) = rest.strip_prefix('{') {
-        let close = body.find('}').ok_or_else(|| format!("unclosed labels in {line:?}"))?;
+        let close = body
+            .find('}')
+            .ok_or_else(|| format!("unclosed labels in {line:?}"))?;
         let (label_str, after) = body.split_at(close);
         value_part = after[1..].trim();
         let mut s = label_str;
         while !s.is_empty() {
-            let eq = s.find('=').ok_or_else(|| format!("bad label in {line:?}"))?;
+            let eq = s
+                .find('=')
+                .ok_or_else(|| format!("bad label in {line:?}"))?;
             let key = &s[..eq];
             if !label_key_ok(key) {
                 return Err(format!("bad label key {key:?}"));
@@ -376,8 +392,12 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
                     return Err(at(format!("histogram sample {id} has value {}", s.value)));
                 }
                 let series_labels: Vec<(String, String)> = {
-                    let mut l: Vec<(String, String)> =
-                        s.labels.iter().filter(|(k, _)| k != "le").cloned().collect();
+                    let mut l: Vec<(String, String)> = s
+                        .labels
+                        .iter()
+                        .filter(|(k, _)| k != "le")
+                        .cloned()
+                        .collect();
                     l.sort();
                     l
                 };
@@ -429,7 +449,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
             return Err(format!("histogram {key} has no _sum"));
         }
         if inf != count {
-            return Err(format!("histogram {key}: +Inf bucket {inf} != _count {count}"));
+            return Err(format!(
+                "histogram {key}: +Inf bucket {inf} != _count {count}"
+            ));
         }
     }
     Ok(())
@@ -443,7 +465,8 @@ mod tests {
     fn sample_registry() -> Registry {
         let r = Registry::new();
         r.counter("req_total", "requests").add(41);
-        r.counter_with("err_total", &[("kind", "parse")], "errors").add(2);
+        r.counter_with("err_total", &[("kind", "parse")], "errors")
+            .add(2);
         r.counter_with("err_total", &[("kind", "internal")], "errors");
         r.gauge("queue_depth", "queued frames").set(3.0);
         let h = r.histogram("service_ns", "service time");
@@ -497,14 +520,11 @@ mod tests {
         // No TYPE before sample.
         assert!(validate_prometheus_text("x_total 3\n").is_err());
         // Negative counter.
-        assert!(
-            validate_prometheus_text("# TYPE x_total counter\nx_total -1\n").is_err()
-        );
+        assert!(validate_prometheus_text("# TYPE x_total counter\nx_total -1\n").is_err());
         // Duplicate sample.
-        assert!(validate_prometheus_text(
-            "# TYPE x_total counter\nx_total 1\nx_total 2\n"
-        )
-        .is_err());
+        assert!(
+            validate_prometheus_text("# TYPE x_total counter\nx_total 1\nx_total 2\n").is_err()
+        );
         // le not increasing.
         assert!(validate_prometheus_text(
             "# TYPE h histogram\nh_bucket{le=\"10\"} 1\nh_bucket{le=\"5\"} 2\n"
@@ -532,7 +552,8 @@ mod tests {
     #[test]
     fn label_escaping_roundtrips() {
         let r = Registry::new();
-        r.counter_with("c_total", &[("path", "a\"b\\c\nd")], "h").inc();
+        r.counter_with("c_total", &[("path", "a\"b\\c\nd")], "h")
+            .inc();
         let text = render(&r);
         validate_prometheus_text(&text).unwrap();
         let (samples, _) = parse_samples(&text).unwrap();

@@ -173,7 +173,12 @@ impl Registry {
 
     /// Register (or fetch) a counter with a fixed label set.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Counter> {
-        match self.register(name, labels, help, Metric::Counter(Arc::new(Counter::default()))) {
+        match self.register(
+            name,
+            labels,
+            help,
+            Metric::Counter(Arc::new(Counter::default())),
+        ) {
             Metric::Counter(c) => c,
             _ => Arc::new(Counter::default()),
         }
@@ -186,7 +191,12 @@ impl Registry {
 
     /// Register (or fetch) a gauge with a fixed label set.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
-        match self.register(name, labels, help, Metric::Gauge(Arc::new(Gauge::default()))) {
+        match self.register(
+            name,
+            labels,
+            help,
+            Metric::Gauge(Arc::new(Gauge::default())),
+        ) {
             Metric::Gauge(g) => g,
             _ => Arc::new(Gauge::default()),
         }
@@ -204,7 +214,12 @@ impl Registry {
         labels: &[(&str, &str)],
         help: &str,
     ) -> Arc<Histogram> {
-        match self.register(name, labels, help, Metric::Histogram(Arc::new(Histogram::new()))) {
+        match self.register(
+            name,
+            labels,
+            help,
+            Metric::Histogram(Arc::new(Histogram::new())),
+        ) {
             Metric::Histogram(h) => h,
             _ => Arc::new(Histogram::new()),
         }

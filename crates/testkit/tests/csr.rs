@@ -98,7 +98,12 @@ fn digest_rows(rows: &[Vec<f64>]) -> u64 {
     fnv1a64(&bytes)
 }
 
-fn distance_rows(g: &DiGraph<f64>, tree: &SepTree, algo: Algorithm, threads: usize) -> Vec<Vec<f64>> {
+fn distance_rows(
+    g: &DiGraph<f64>,
+    tree: &SepTree,
+    algo: Algorithm,
+    threads: usize,
+) -> Vec<Vec<f64>> {
     with_max_threads(threads, || {
         let metrics = Metrics::new();
         let pre = preprocess::<Tropical>(g, tree, algo, &metrics)

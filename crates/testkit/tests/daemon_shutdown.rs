@@ -80,25 +80,26 @@ fn shutdown_under_concurrent_load_drains_typed_at_every_worker_count() {
                     let oracle = Arc::clone(&oracle);
                     std::thread::spawn(move || {
                         let metrics = Metrics::new();
-                        let mut client =
-                            match Client::connect(addr, Duration::from_secs(5)) {
-                                Ok(c) => c,
-                                Err(_) => return, // shed or post-shutdown: fine
-                            };
+                        let mut client = match Client::connect(addr, Duration::from_secs(5)) {
+                            Ok(c) => c,
+                            Err(_) => return, // shed or post-shutdown: fine
+                        };
                         // Send until the drain ends the loop (typed
                         // refusal or close) — the watchdog bounds the
                         // whole test, so a shutdown that never reaches
                         // this client still fails loudly.
                         for i in 0..u64::MAX {
                             let (s, t) = ((ci as u64 + i) % n, (ci as u64 + 3 * i) % n);
-                            match client.request(&Request::Point { source: s, target: t }) {
+                            match client.request(&Request::Point {
+                                source: s,
+                                target: t,
+                            }) {
                                 Ok(Response::Dist(d)) => {
                                     // An answer delivered during the run —
                                     // including in-flight at shutdown —
                                     // must be the correct one.
-                                    let want = oracle
-                                        .distance(s as usize, t as usize, &metrics)
-                                        .unwrap();
+                                    let want =
+                                        oracle.distance(s as usize, t as usize, &metrics).unwrap();
                                     assert_eq!(
                                         d.to_bits(),
                                         want.to_bits(),

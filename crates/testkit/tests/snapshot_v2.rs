@@ -68,7 +68,9 @@ fn grid_oracle(dims: [usize; 2], seed: u64) -> Oracle {
 
 fn save_v2(oracle: &Oracle) -> Vec<u8> {
     let mut buf = Vec::new();
-    oracle.save_v2(&mut buf).expect("save_v2 to a Vec cannot fail");
+    oracle
+        .save_v2(&mut buf)
+        .expect("save_v2 to a Vec cannot fail");
     buf
 }
 
@@ -195,7 +197,10 @@ fn older_snapshots_are_refused_with_a_re_prepare_error() {
             match outcome {
                 Ok(Err(err @ SpsepError::Parse { .. })) => {
                     let msg = err.to_string();
-                    assert!(msg.contains(found), "{found}: message names the find: {msg}");
+                    assert!(
+                        msg.contains(found),
+                        "{found}: message names the find: {msg}"
+                    );
                     assert!(msg.contains("re-run `spsep-cli prepare`"), "{found}: {msg}");
                 }
                 Ok(Err(err)) => panic!("{found}: expected a parse error, got {err:?}"),
@@ -240,7 +245,10 @@ fn daemon_on_v2_mmap_answers_bit_identically_and_corrupt_files_never_boot() {
         let n = fresh.n();
         for s in [0usize, n / 3, n - 1] {
             let want = fresh.source_table(s, &metrics).unwrap();
-            match client.request(&Request::Source { source: s as u64 }).unwrap() {
+            match client
+                .request(&Request::Source { source: s as u64 })
+                .unwrap()
+            {
                 Response::Table(got) => {
                     assert_eq!(got.len(), n, "table length from daemon");
                     for v in 0..n {

@@ -120,7 +120,11 @@ fn chaos_load_scrape_stays_valid_and_monotone() {
         ..LoadConfig::default()
     })
     .unwrap();
-    assert_eq!(report.chaos_handled, report.chaos_sent, "{:?}", report.errors);
+    assert_eq!(
+        report.chaos_handled, report.chaos_sent,
+        "{:?}",
+        report.errors
+    );
     assert_eq!(*report.errors.get("verify_mismatch").unwrap_or(&0), 0);
 
     let wire_text = scrape_wire(addr);
@@ -130,9 +134,10 @@ fn chaos_load_scrape_stays_valid_and_monotone() {
 
     let after = counter_samples(&wire_text).unwrap();
     for (id, v0) in &before {
-        let v1 = after.get(id).copied().unwrap_or_else(|| {
-            panic!("counter {id} disappeared between scrapes")
-        });
+        let v1 = after
+            .get(id)
+            .copied()
+            .unwrap_or_else(|| panic!("counter {id} disappeared between scrapes"));
         assert!(v1 >= *v0, "counter {id} moved backwards: {v0} -> {v1}");
     }
     let served = after.get("spsep_served_total").copied().unwrap_or(0.0);
@@ -168,7 +173,10 @@ fn forced_slow_query_produces_a_flight_dump() {
     let mut client = Client::connect(addr.to_string(), Duration::from_secs(5)).unwrap();
     for v in 1..5u64 {
         let resp = client
-            .request(&Request::Point { source: 0, target: v })
+            .request(&Request::Point {
+                source: 0,
+                target: v,
+            })
             .unwrap();
         assert!(matches!(resp, Response::Dist(_)), "{resp:?}");
     }
@@ -205,9 +213,17 @@ fn erroring_query_produces_a_labelled_flight_dump() {
     );
     let mut client = Client::connect(addr.to_string(), Duration::from_secs(5)).unwrap();
     // A healthy request first, so the window has context.
-    let _ = client.request(&Request::Point { source: 0, target: 1 }).unwrap();
+    let _ = client
+        .request(&Request::Point {
+            source: 0,
+            target: 1,
+        })
+        .unwrap();
     let resp = client
-        .request(&Request::Point { source: n + 7, target: 0 })
+        .request(&Request::Point {
+            source: n + 7,
+            target: 0,
+        })
         .unwrap();
     assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
     drop(client);

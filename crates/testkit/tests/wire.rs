@@ -13,9 +13,7 @@ use rand::SeedableRng;
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
-use spsep_serve::{
-    load, Client, LoadConfig, Request, Response, ServeConfig, Server, WireError,
-};
+use spsep_serve::{load, Client, LoadConfig, Request, Response, ServeConfig, Server, WireError};
 use spsep_testkit::{wire_corruptions, WireExpectation};
 use std::net::SocketAddr;
 use std::panic::resume_unwind;
@@ -99,8 +97,8 @@ fn drain_responses(client: &mut Client, name: &str) -> Vec<Response> {
     for _ in 0..4 {
         match client.read_response_or_close() {
             Ok(Some(resp)) => out.push(resp),
-            Ok(None) => break,       // clean close
-            Err(_) => break,         // daemon closed mid-read: acceptable
+            Ok(None) => break, // clean close
+            Err(_) => break,   // daemon closed mid-read: acceptable
         }
     }
     for resp in &out {
@@ -218,7 +216,10 @@ fn chaos_load_of_10k_requests_stays_typed_and_bit_identical() {
             load::run_load(&config).expect("daemon reachable")
         });
         assert_eq!(report.scheduled, 2500, "workers={workers}");
-        assert!(report.chaos_sent > 0, "workers={workers}: chaos never fired");
+        assert!(
+            report.chaos_sent > 0,
+            "workers={workers}: chaos never fired"
+        );
         assert_eq!(
             report.chaos_handled, report.chaos_sent,
             "workers={workers}: unhandled chaos injections: {:?}",

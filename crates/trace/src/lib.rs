@@ -322,9 +322,7 @@ pub fn render_tree(events: &[TraceEvent]) -> String {
     tids.sort_unstable();
     tids.dedup();
     for tid in tids {
-        let name = names
-            .get(tid as usize)
-            .map_or("?", String::as_str);
+        let name = names.get(tid as usize).map_or("?", String::as_str);
         out.push_str(&format!("tid {tid} ({name})\n"));
         for e in events.iter().filter(|e| e.tid == tid) {
             let indent = "  ".repeat(e.depth as usize + 1);
@@ -399,9 +397,7 @@ mod tests {
         assert_eq!(events[1].bytes, 100);
         // Inner is contained in outer.
         assert!(events[1].start_ns >= events[0].start_ns);
-        assert!(
-            events[1].start_ns + events[1].dur_ns <= events[0].start_ns + events[0].dur_ns
-        );
+        assert!(events[1].start_ns + events[1].dur_ns <= events[0].start_ns + events[0].dur_ns);
         // Same thread, and the registry knows its name.
         assert_eq!(events[0].tid, events[1].tid);
         assert!(thread_names().len() > events[0].tid as usize);

@@ -93,7 +93,10 @@ impl System {
     /// Add `x_i − x_j ≤ c`.
     pub fn add(&mut self, i: usize, j: usize, c: f64) -> &mut Self {
         assert!(i < self.num_vars && j < self.num_vars);
-        assert!(i != j, "a difference constraint needs two distinct variables");
+        assert!(
+            i != j,
+            "a difference constraint needs two distinct variables"
+        );
         self.constraints.push(Constraint::new(i, j, c));
         self
     }
@@ -144,12 +147,7 @@ impl System {
 
     /// Solve with a caller-provided decomposition tree of the constraint
     /// graph (as returned by [`System::constraint_graph`]).
-    pub fn solve_with_tree(
-        &self,
-        g: &DiGraph<f64>,
-        tree: &SepTree,
-        metrics: &Metrics,
-    ) -> Solution {
+    pub fn solve_with_tree(&self, g: &DiGraph<f64>, tree: &SepTree, metrics: &Metrics) -> Solution {
         match preprocess::<Tropical>(g, tree, Algorithm::LeavesUp, metrics) {
             Err(_) => Solution::Infeasible,
             Ok(pre) => {

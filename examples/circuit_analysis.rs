@@ -51,12 +51,7 @@ fn main() {
     let metrics = Metrics::new();
     let bool_circuit = circuit.map_weights(|_| true);
     let reach_pre = reach::preprocess_reach(&bool_circuit, &tree, &metrics);
-    let cone: usize = reach_pre
-        .distances_seq(0)
-        .0
-        .iter()
-        .filter(|&&r| r)
-        .count();
+    let cone: usize = reach_pre.distances_seq(0).0.iter().filter(|&&r| r).count();
     println!(
         "cone of influence of pin 0: {cone} gates (bitmatrix work = {} word-ops)",
         metrics.work_of(spsep::pram::Counter::MatMul)
@@ -87,8 +82,8 @@ fn main() {
         worst.0, worst.1, worst.2
     );
     // Cross-check one pin against the generic reference.
-    let reference = spsep::baselines::bellman_ford_semiring::<MaxPlus>(&circuit, worst.0)
-        .expect("DAG");
+    let reference =
+        spsep::baselines::bellman_ford_semiring::<MaxPlus>(&circuit, worst.0).expect("DAG");
     assert!((reference[worst.1] - worst.2).abs() < 1e-6);
 
     // 3. Fastest propagation (tropical), e.g. for clock-skew budgeting.

@@ -18,8 +18,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spsep::core::{analysis, preprocess, query, Algorithm};
-use spsep::graph::semiring::Tropical;
 use spsep::graph::generators;
+use spsep::graph::semiring::Tropical;
 use spsep::pram::Metrics;
 use spsep::separator::{builders, RecursionLimits};
 

@@ -83,7 +83,11 @@ fn main() {
         assert!(worst < 1e-6);
         println!(
             "epoch {epoch}{}: re-plan {:.1?} ({} shortcuts), mean travel time from depot 0 = {:.2}",
-            if reversed { " (rush-hour reversal)" } else { "" },
+            if reversed {
+                " (rush-hour reversal)"
+            } else {
+                ""
+            },
             replan,
             pre.stats().eplus_edges,
             rows[0].iter().filter(|d| d.is_finite()).sum::<f64>() / g.n() as f64

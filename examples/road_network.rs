@@ -19,8 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spsep::core::{preprocess, Algorithm};
-use spsep::graph::semiring::Tropical;
 use spsep::graph::generators;
+use spsep::graph::semiring::Tropical;
 use spsep::pram::Metrics;
 use spsep::separator::{builders, RecursionLimits};
 use std::time::Instant;

@@ -39,7 +39,8 @@ fn main() {
         Solution::Feasible(x) => x,
         Solution::Infeasible => panic!("generator plants a feasible schedule"),
     };
-    sys.check(&x, 1e-9).expect("assignment satisfies every constraint");
+    sys.check(&x, 1e-9)
+        .expect("assignment satisfies every constraint");
     println!(
         "separator solve: {:.0?}, {} (pram cost model)",
         t_sep,
@@ -92,6 +93,13 @@ fn main() {
         let sys = grid_schedule_system(rows, cols, 10.0, slack, &mut rng);
         let metrics = Metrics::new();
         let feasible = matches!(sys.solve(&metrics), Solution::Feasible(_));
-        println!("max-lag slack {slack:>6.2} → {}", if feasible { "feasible" } else { "INFEASIBLE (negative cycle found in preprocessing)" });
+        println!(
+            "max-lag slack {slack:>6.2} → {}",
+            if feasible {
+                "feasible"
+            } else {
+                "INFEASIBLE (negative cycle found in preprocessing)"
+            }
+        );
     }
 }

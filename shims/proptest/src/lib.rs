@@ -134,12 +134,12 @@ pub mod strategy {
         };
     }
 
-    impl_tuple_strategy!(A/0);
-    impl_tuple_strategy!(A/0, B/1);
-    impl_tuple_strategy!(A/0, B/1, C/2);
-    impl_tuple_strategy!(A/0, B/1, C/2, D/3);
-    impl_tuple_strategy!(A/0, B/1, C/2, D/3, E/4);
-    impl_tuple_strategy!(A/0, B/1, C/2, D/3, E/4, F/5);
+    impl_tuple_strategy!(A / 0);
+    impl_tuple_strategy!(A / 0, B / 1);
+    impl_tuple_strategy!(A / 0, B / 1, C / 2);
+    impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3);
+    impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4);
+    impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4, F / 5);
 }
 
 pub mod arbitrary {

@@ -69,7 +69,10 @@ impl<T: Send> Slots<T> {
     fn into_ordered(self) -> Vec<T> {
         self.slots
             .into_iter()
-            .map(|cell| cell.into_inner().expect("completed batch filled every slot"))
+            .map(|cell| {
+                cell.into_inner()
+                    .expect("completed batch filled every slot")
+            })
             .collect()
     }
 }

@@ -237,9 +237,8 @@ mod tests {
             let got: f64 = super::with_max_threads(threads, || xs.par_iter().map(|&x| x).sum());
             assert_eq!(expect.to_bits(), got.to_bits(), "threads={threads}");
         }
-        let red = super::with_max_threads(8, || {
-            xs.par_iter().map(|&x| x).reduce(|| 0.0, |a, b| a + b)
-        });
+        let red =
+            super::with_max_threads(8, || xs.par_iter().map(|&x| x).reduce(|| 0.0, |a, b| a + b));
         assert_eq!(expect.to_bits(), red.to_bits());
     }
 
@@ -273,15 +272,18 @@ mod tests {
     #[test]
     fn par_sort_matches_sequential_sort() {
         // Above the cutoff (parallel chunk sort + k-way merge).
-        let mut xs: Vec<u64> = (0..20_000u64).map(|i| i.wrapping_mul(2654435761) % 4096).collect();
+        let mut xs: Vec<u64> = (0..20_000u64)
+            .map(|i| i.wrapping_mul(2654435761) % 4096)
+            .collect();
         let mut expect = xs.clone();
         expect.sort_unstable();
         xs.par_sort_unstable();
         assert_eq!(xs, expect);
         // And bit-identical across thread counts.
         for threads in [1usize, 4] {
-            let mut ys: Vec<u64> =
-                (0..20_000u64).map(|i| i.wrapping_mul(2654435761) % 4096).collect();
+            let mut ys: Vec<u64> = (0..20_000u64)
+                .map(|i| i.wrapping_mul(2654435761) % 4096)
+                .collect();
             super::with_max_threads(threads, || ys.par_sort_unstable());
             assert_eq!(ys, expect, "threads={threads}");
         }

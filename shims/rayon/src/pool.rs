@@ -27,7 +27,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -166,7 +166,9 @@ pub(crate) fn pool() -> &'static Pool {
             work_available: Condvar::new(),
             capacity,
             default_threads,
-            worker_telemetry: (0..capacity - 1).map(|_| WorkerTelemetry::default()).collect(),
+            worker_telemetry: (0..capacity - 1)
+                .map(|_| WorkerTelemetry::default())
+                .collect(),
             steal_backs: AtomicU64::new(0),
             reclaimed_handles: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
@@ -402,7 +404,8 @@ pub(crate) fn run_batch(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         for _ in 0..helpers {
             q.push_back(task);
         }
-        pool.max_queue_depth.fetch_max(q.len() as u64, Ordering::Relaxed);
+        pool.max_queue_depth
+            .fetch_max(q.len() as u64, Ordering::Relaxed);
     }
     pool.work_available.notify_all();
     // Participate: the caller is one of the `eff` threads.
@@ -416,7 +419,8 @@ pub(crate) fn run_batch(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         let removed = before - q.len();
         if removed > 0 {
             drop(q);
-            pool.reclaimed_handles.fetch_add(removed as u64, Ordering::Relaxed);
+            pool.reclaimed_handles
+                .fetch_add(removed as u64, Ordering::Relaxed);
             latch.retire(removed);
         }
     }
@@ -507,7 +511,8 @@ where
     {
         let mut q = lock(&pool.injector);
         q.push_back(task);
-        pool.max_queue_depth.fetch_max(q.len() as u64, Ordering::Relaxed);
+        pool.max_queue_depth
+            .fetch_max(q.len() as u64, Ordering::Relaxed);
     }
     pool.work_available.notify_one();
     let ra = catch_unwind(AssertUnwindSafe(a));
@@ -526,7 +531,8 @@ where
             let removed = before - q.len();
             drop(q);
             if removed > 0 {
-                pool.reclaimed_handles.fetch_add(removed as u64, Ordering::Relaxed);
+                pool.reclaimed_handles
+                    .fetch_add(removed as u64, Ordering::Relaxed);
                 latch.retire(removed);
             }
         }

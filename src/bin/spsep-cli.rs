@@ -103,11 +103,11 @@
 
 use spsep::core::analysis::{work_ledger, WorkLedger};
 use spsep::core::{preprocess, Algorithm, Oracle};
-use spsep::serve;
 use spsep::graph::semiring::Tropical;
 use spsep::graph::DiGraph;
 use spsep::pram::{Metrics, Report};
 use spsep::separator::{builders, RecursionLimits, SepTree};
+use spsep::serve;
 use spsep::trace::json::quote;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -216,12 +216,7 @@ fn parse_args() -> Result<Args, ExitCode> {
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "-s" => {
-                args.source = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(usage)?
-            }
+            "-s" => args.source = argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?,
             "-a" => {
                 args.algo = match argv.next().as_deref() {
                     Some("41") => Algorithm::LeavesUp,
@@ -240,21 +235,13 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--trace-out" => args.trace_out = Some(argv.next().ok_or_else(usage)?),
             "--queries" => args.queries = Some(argv.next().ok_or_else(usage)?),
             "--cache" => {
-                args.cache = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(usage)?,
-                )
+                args.cache = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
             }
             "--batch" => args.batch = true,
             "--listen" => args.listen = Some(argv.next().ok_or_else(usage)?),
             "--metrics-listen" => args.metrics_listen = Some(argv.next().ok_or_else(usage)?),
             "--slow-us" => {
-                args.slow_us = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(usage)?,
-                )
+                args.slow_us = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
             }
             "--no-telemetry" => args.no_telemetry = true,
             "--keep-all" => args.keep_all = true,
@@ -320,11 +307,7 @@ fn parse_args() -> Result<Args, ExitCode> {
                     .ok_or_else(usage)?
             }
             "--seed" => {
-                args.seed = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(usage)?,
-                )
+                args.seed = Some(argv.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?)
             }
             "--verify" => args.verify = Some(argv.next().ok_or_else(usage)?),
             "--json" => args.json_out = Some(argv.next().ok_or_else(usage)?),
@@ -376,7 +359,11 @@ fn obtain_tree(g: &DiGraph<f64>, args: &Args) -> Result<SepTree, String> {
                         eprintln!(
                             "builder auto: near-planar certificate fails (edge bound {}, \
                              degeneracy {}) → bfs builder",
-                            if check.edge_bound_ok { "ok" } else { "violated" },
+                            if check.edge_bound_ok {
+                                "ok"
+                            } else {
+                                "violated"
+                            },
                             check.degeneracy
                         );
                         builders::bfs_tree(&adj, RecursionLimits::default())
@@ -384,9 +371,7 @@ fn obtain_tree(g: &DiGraph<f64>, args: &Args) -> Result<SepTree, String> {
                 }
                 "bfs" => builders::bfs_tree(&adj, RecursionLimits::default()),
                 "centroid" => builders::centroid_tree(&adj, RecursionLimits::default()),
-                "planar" => {
-                    spsep::separator::planar_level_tree(&adj, RecursionLimits::default())
-                }
+                "planar" => spsep::separator::planar_level_tree(&adj, RecursionLimits::default()),
                 other => {
                     return Err(format!(
                         "unknown builder '{other}' (auto|bfs|centroid|planar)"
@@ -509,8 +494,7 @@ enum Query {
 /// (0-based ids). Unknown records and malformed fields are
 /// line-numbered errors.
 fn read_queries(path: &str) -> Result<Vec<Query>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut queries = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -873,8 +857,9 @@ fn cmd_load(args: &Args) -> Result<(), String> {
             (oracle.n(), Some(std::sync::Arc::new(oracle)))
         }
         None => {
-            let mut client = serve::Client::connect(addr.as_str(), std::time::Duration::from_secs(5))
-                .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
+            let mut client =
+                serve::Client::connect(addr.as_str(), std::time::Duration::from_secs(5))
+                    .map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?;
             match client.request(&serve::Request::Info) {
                 Ok(serve::Response::Info { n, .. }) => (n as usize, None),
                 Ok(other) => return Err(format!("daemon Info answered with {other:?}")),
@@ -992,19 +977,14 @@ fn run() -> Result<(), String> {
     if args.command == "import" {
         // `import` reads a *raw* instance (any sniffable format) and
         // writes the cleaned canonical `.gr`.
-        let out_path = args
-            .tree_out
-            .take()
-            .ok_or("import needs -o <out.gr>")?;
+        let out_path = args.tree_out.take().ok_or("import needs -o <out.gr>")?;
         let opts = spsep::graph::import::ImportOptions {
             largest_scc: !args.keep_all,
             normalize: args.normalize,
         };
-        let (g, report) = spsep::graph::import::import_path(
-            std::path::Path::new(&args.graph_path),
-            opts,
-        )
-        .map_err(|e| format!("{}: {e}", args.graph_path))?;
+        let (g, report) =
+            spsep::graph::import::import_path(std::path::Path::new(&args.graph_path), opts)
+                .map_err(|e| format!("{}: {e}", args.graph_path))?;
         let file = File::create(&out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
         let mut out = BufWriter::new(file);
         spsep::graph::io::write_dimacs(&g, &mut out).map_err(|e| format!("{out_path}: {e}"))?;
@@ -1146,8 +1126,7 @@ fn run() -> Result<(), String> {
             }
             let mut buf = Vec::new();
             oracle.save_v2(&mut buf).map_err(|e| e.to_string())?;
-            std::fs::write(&out_path, &buf)
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+            std::fs::write(&out_path, &buf).map_err(|e| format!("cannot write {out_path}: {e}"))?;
             println!(
                 "prepared oracle: n = {n}, m = {m}, |E+| = {}, algo = {:?}",
                 oracle.stats().eplus_edges,
@@ -1167,7 +1146,12 @@ fn run() -> Result<(), String> {
             let pre = spsep::core::reach::preprocess_reach(&gb, &tree, &metrics);
             let (row, _) = pre.distances_seq(args.source);
             let count = row.iter().filter(|&&r| r).count();
-            println!("reach from {}: {} of {} vertices", args.source, count, g.n());
+            println!(
+                "reach from {}: {} of {} vertices",
+                args.source,
+                count,
+                g.n()
+            );
             if args.print_dists {
                 let ids: Vec<String> = row
                     .iter()

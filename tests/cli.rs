@@ -29,7 +29,11 @@ fn info_and_sssp() {
     let graph = write_demo_graph(&dir);
 
     let out = cli().arg("info").arg(&graph).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("n = 4"));
     assert!(text.contains("E+"));
@@ -61,7 +65,11 @@ fn tree_roundtrip_through_cli() {
         .arg(&tree)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(tree.exists());
 
     // Reuse the saved tree for a query with algorithm 4.4.
@@ -72,7 +80,11 @@ fn tree_roundtrip_through_cli() {
         .arg(&tree)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("4 reachable"));
 }
 
@@ -105,7 +117,11 @@ fn reach_and_centroid_builder() {
         .args(["-b", "centroid"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -126,7 +142,11 @@ fn observability_flags_produce_artifacts() {
         .arg(&trace)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // --metrics: uniform report + ledger on stdout.
     let text = String::from_utf8_lossy(&out.stdout);
@@ -142,7 +162,10 @@ fn observability_flags_produce_artifacts() {
 
     // --metrics-out: spsep-metrics/v1 document.
     let mjson = std::fs::read_to_string(&metrics).unwrap();
-    assert!(mjson.contains("\"schema\": \"spsep-metrics/v1\""), "{mjson}");
+    assert!(
+        mjson.contains("\"schema\": \"spsep-metrics/v1\""),
+        "{mjson}"
+    );
     assert!(mjson.contains("\"ledger\""), "{mjson}");
     assert!(mjson.contains("\"within\": true"), "{mjson}");
 
@@ -167,7 +190,10 @@ fn metrics_flag_is_uniform_across_subcommands() {
         vec!["reach", "-s", "0"],
     ] {
         let mut cmd = cli();
-        cmd.arg(argv[0]).arg(&graph).args(&argv[1..]).arg("--metrics");
+        cmd.arg(argv[0])
+            .arg(&graph)
+            .args(&argv[1..])
+            .arg("--metrics");
         if argv[0] == "tree" {
             cmd.arg("-o").arg(&tree);
         }
@@ -209,7 +235,11 @@ fn prepare_then_serve_roundtrip() {
         .arg(&snapshot)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("prepared oracle"), "{text}");
     // The default prepare format is the v2 mmap snapshot.
@@ -225,7 +255,11 @@ fn prepare_then_serve_roundtrip() {
         .args(["--print-dists", "--metrics"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     // dist(0→2) = 2 via the cycle, beating the chord weight 5.
     assert!(text.lines().any(|l| l.trim() == "p 0 2 2"), "{text}");
@@ -246,7 +280,11 @@ fn prepare_then_serve_roundtrip() {
         .args(["--batch", "--print-dists"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().any(|l| l.trim() == "p 0 2 2"), "{text}");
     assert!(text.contains("batch: 3 pairs + 1 sources"), "{text}");
@@ -265,7 +303,11 @@ fn serve_error_paths_are_messages_not_panics() {
         .arg(&snapshot)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // prepare without -o.
     let out = cli().arg("prepare").arg(&graph).output().unwrap();
@@ -357,7 +399,11 @@ fn mkroad_regenerates_the_committed_instance_bit_exactly() {
         .arg(&out_path)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/data/road-160x150.gr");
     let want = std::fs::read(committed).unwrap();
     let got = std::fs::read(&out_path).unwrap();
@@ -366,7 +412,10 @@ fn mkroad_regenerates_the_committed_instance_bit_exactly() {
         want.len(),
         "regenerated instance differs in size from data/road-160x150.gr"
     );
-    assert!(got == want, "regenerated instance differs from data/road-160x150.gr");
+    assert!(
+        got == want,
+        "regenerated instance differs from data/road-160x150.gr"
+    );
 }
 
 #[test]
@@ -376,11 +425,18 @@ fn committed_road_instance_parses_and_certifies_near_planar() {
     // connected (largest-SCC extraction keeps everything), and the
     // near-planar certificate that drives `-b auto` holds.
     let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/data/road-160x150.gr");
-    let g = spsep::graph::io::read_dimacs(std::fs::File::open(committed).map(std::io::BufReader::new).unwrap())
-        .unwrap();
+    let g = spsep::graph::io::read_dimacs(
+        std::fs::File::open(committed)
+            .map(std::io::BufReader::new)
+            .unwrap(),
+    )
+    .unwrap();
     assert_eq!((g.n(), g.m()), (24_000, 142_762));
     let (_, report) = spsep::graph::import::import(&g, Default::default()).unwrap();
-    assert_eq!(report.scc_count, 1, "road instance must be strongly connected");
+    assert_eq!(
+        report.scc_count, 1,
+        "road instance must be strongly connected"
+    );
     assert_eq!(report.nodes_kept, g.n());
     let check = spsep::separator::certify_near_planar(&g.undirected_skeleton());
     assert!(check.near_planar, "{check:?}");
@@ -393,10 +449,24 @@ fn import_subcommand_ingests_csv_and_writes_canonical_gr() {
     // A 3-cycle plus a dangling sink vertex: largest-SCC extraction
     // must drop vertex 3 and renumber, and the report must say so.
     let csv = dir.join("edges.csv");
-    std::fs::write(&csv, "from,to,weight\n0,1,1.5\n1,2,2.25\n2,0,0.5\n2,3,9.0\n").unwrap();
+    std::fs::write(
+        &csv,
+        "from,to,weight\n0,1,1.5\n1,2,2.25\n2,0,0.5\n2,3,9.0\n",
+    )
+    .unwrap();
     let gr = dir.join("edges.gr");
-    let out = cli().arg("import").arg(&csv).arg("-o").arg(&gr).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .arg("import")
+        .arg(&csv)
+        .arg("-o")
+        .arg(&gr)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("n = 4"), "{text}");
     assert!(text.contains("dropped 1 vert"), "{text}");
@@ -405,14 +475,30 @@ fn import_subcommand_ingests_csv_and_writes_canonical_gr() {
 
     // The emitted .gr is canonical: importing it again is a fixed point.
     let gr2 = dir.join("edges2.gr");
-    let out = cli().arg("import").arg(&gr).arg("-o").arg(&gr2).output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .arg("import")
+        .arg(&gr)
+        .arg("-o")
+        .arg(&gr2)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(std::fs::read(&gr).unwrap(), std::fs::read(&gr2).unwrap());
 
     // Malformed input: typed line-numbered error on stderr, no panic.
     let bad = dir.join("bad.csv");
     std::fs::write(&bad, "from,to,weight\n0,1,NaN\n").unwrap();
-    let out = cli().arg("import").arg(&bad).arg("-o").arg(dir.join("bad.gr")).output().unwrap();
+    let out = cli()
+        .arg("import")
+        .arg(&bad)
+        .arg("-o")
+        .arg(dir.join("bad.gr"))
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("line 2"), "{err}");
@@ -434,14 +520,25 @@ fn daemon_serves_load_and_exits_zero_on_shutdown() {
         .arg(&snapshot)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Start the daemon on an ephemeral port; its first stdout line
     // announces the resolved address (stdout is line-buffered).
     let mut daemon = cli()
         .arg("serve")
         .arg(&snapshot)
-        .args(["--listen", "127.0.0.1:0", "--workers", "2", "--queue-depth", "16"])
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--queue-depth",
+            "16",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -59,11 +59,22 @@ fn write_grid_tree(dir: &std::path::Path) -> (std::path::PathBuf, SepTree) {
 /// prints its shutdown epilogue.
 fn spawn_daemon(
     snapshot: &std::path::Path,
-) -> (Child, String, std::io::Lines<BufReader<std::process::ChildStdout>>) {
+) -> (
+    Child,
+    String,
+    std::io::Lines<BufReader<std::process::ChildStdout>>,
+) {
     let mut daemon = cli()
         .arg("serve")
         .arg(snapshot)
-        .args(["--listen", "127.0.0.1:0", "--workers", "2", "--queue-depth", "16"])
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--queue-depth",
+            "16",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -91,10 +102,15 @@ fn query_stream(n: usize) -> Vec<Request> {
         // A simple deterministic spread of (source, target) pairs.
         let s = (i * 37) % n as u64;
         let t = (i * 61 + 5) % n as u64;
-        reqs.push(Request::Point { source: s, target: t });
+        reqs.push(Request::Point {
+            source: s,
+            target: t,
+        });
     }
     reqs.push(Request::Batch {
-        pairs: (0..8u64).map(|i| (i % n as u64, (i * 13 + 1) % n as u64)).collect(),
+        pairs: (0..8u64)
+            .map(|i| (i % n as u64, (i * 13 + 1) % n as u64))
+            .collect(),
     });
     reqs
 }
@@ -129,7 +145,11 @@ fn two_daemons_on_one_v2_snapshot_answer_bit_identically() {
         .arg(&v2)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Two independent daemon processes mmap the SAME v2 file.
     let (mut daemon_a, addr_a, out_a) = spawn_daemon(&v2);
@@ -159,7 +179,11 @@ fn two_daemons_on_one_v2_snapshot_answer_bit_identically() {
             let got = bits(&ra);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
-                assert_eq!(*g, w.to_bits(), "v2-served table diverged from the fresh oracle");
+                assert_eq!(
+                    *g,
+                    w.to_bits(),
+                    "v2-served table diverged from the fresh oracle"
+                );
             }
         }
     }
@@ -193,7 +217,11 @@ fn chaos_load_against_a_v2_daemon_has_zero_mismatches() {
         .arg(&v2)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let (mut daemon, addr, daemon_out) = spawn_daemon(&v2);
 

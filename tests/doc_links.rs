@@ -33,10 +33,14 @@ fn links(markdown: &str) -> Vec<(String, String)> {
         while let Some(open) = line[i..].find('[') {
             let open = i + open;
             // Skip image links' leading '!' handling: same target rules.
-            let Some(close) = line[open..].find("](") else { break };
+            let Some(close) = line[open..].find("](") else {
+                break;
+            };
             let close = open + close;
             let target_start = close + 2;
-            let Some(end) = line[target_start..].find(')') else { break };
+            let Some(end) = line[target_start..].find(')') else {
+                break;
+            };
             let end = target_start + end;
             // Reference-style checklists like "[ ]" have no "](", so we
             // only land here for real inline links.
@@ -60,8 +64,8 @@ fn every_relative_doc_link_resolves() {
     let mut checked = 0usize;
     for doc in DOCS {
         let doc_path = root.join(doc);
-        let text = std::fs::read_to_string(&doc_path)
-            .unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
+        let text =
+            std::fs::read_to_string(&doc_path).unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
         let base = doc_path.parent().unwrap().to_path_buf();
         for (label, target) in links(&text) {
             // External and in-page links are out of scope.
@@ -80,7 +84,10 @@ fn every_relative_doc_link_resolves() {
             let resolved: PathBuf = base.join(file_part);
             checked += 1;
             if !resolved.exists() {
-                broken.push(format!("{doc}: [{label}]({target}) → {}", resolved.display()));
+                broken.push(format!(
+                    "{doc}: [{label}]({target}) → {}",
+                    resolved.display()
+                ));
             }
         }
     }
@@ -88,7 +95,11 @@ fn every_relative_doc_link_resolves() {
         checked >= 10,
         "only {checked} relative links found — the extractor is probably broken"
     );
-    assert!(broken.is_empty(), "broken doc links:\n{}", broken.join("\n"));
+    assert!(
+        broken.is_empty(),
+        "broken doc links:\n{}",
+        broken.join("\n")
+    );
 }
 
 #[test]

@@ -65,7 +65,11 @@ fn one_tree_many_weightings() {
     let g2 = generators::skew_by_potentials(&g1, 4.0, &mut rng);
     let g3 = DiGraph::from_edges(
         g1.n(),
-        g1.edges().iter().filter(|e| e.from < e.to).copied().collect(),
+        g1.edges()
+            .iter()
+            .filter(|e| e.from < e.to)
+            .copied()
+            .collect(),
     );
     let metrics = Metrics::new();
     for g in [&g1, &g2, &g3] {

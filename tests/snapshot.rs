@@ -50,7 +50,11 @@ fn reloaded_oracle_is_bit_identical_to_fresh_at_every_thread_count() {
             let rows = with_max_threads(threads, || {
                 let served = Oracle::load(snapshot.as_slice())
                     .unwrap_or_else(|e| panic!("{}: load failed: {e}", family.label()));
-                assert!(served.is_slab_backed(), "{}: load must borrow", family.label());
+                assert!(
+                    served.is_slab_backed(),
+                    "{}: load must borrow",
+                    family.label()
+                );
                 probes
                     .iter()
                     .map(|&s| served.source_table(s, &metrics).unwrap().to_vec())
