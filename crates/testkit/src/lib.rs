@@ -3,20 +3,17 @@
 //! The robustness contract of the workspace is: **every** malformed
 //! input — a truncated file, an out-of-range id, a NaN weight, a
 //! decomposition that does not actually separate — yields a typed
-//! [`SpsepError`](spsep_core::SpsepError) or a recorded fallback to the
-//! baselines, and *never*
-//! a panic or a silently wrong distance. This crate provides the
-//! corruptions; `tests/fault_injection.rs` drives them through the
-//! parsers and [`spsep_core::preprocess_or_fallback`] under
-//! `catch_unwind` and cross-checks every surviving distance against
-//! Dijkstra.
+//! [`SpsepError`](spsep_core::SpsepError), never a panic, never a wrong
+//! distance. This crate provides the corruptions; `tests/fault_injection.rs`
+//! drives them through the parsers and the shipped entry point,
+//! [`spsep_core::Oracle::prepare`], under `catch_unwind` and
+//! cross-checks every answered distance against Dijkstra.
 //!
 //! Two corruption families:
 //!
 //! * [`corrupt::text_corruptions`] — byte/token-level damage to the
-//!   three serialization formats (`spsep_graph::io`,
-//!   `spsep_separator::io`, `spsep_core::io`), applied to a *valid*
-//!   serialized instance;
+//!   two text formats (`spsep_graph::io`, `spsep_separator::io`),
+//!   applied to a *valid* serialized instance;
 //! * [`corrupt::instance_corruptions`] — structural damage to in-memory
 //!   `(graph, tree)` pairs: non-separating separators, shuffled node
 //!   levels, size mismatches, absorbing cycles.

@@ -4,20 +4,20 @@
 //! `tests/differential.rs`; this file pins bit-identity across
 //! *repeated runs at a fixed thread count* — the property that makes
 //! bugs reproducible — by serializing the entire observable output
-//! (the `E⁺` augmentation text plus raw distance bits) and comparing
-//! bytes. It also pins that the vendored `rand` shim's streams are a
-//! pure function of the seed, unaffected by any executor state.
+//! (the `spsep-oracle/v2` snapshot bytes plus raw distance bits) and
+//! comparing bytes. It also pins that the vendored `rand` shim's
+//! streams are a pure function of the seed, unaffected by any executor
+//! state.
 
 use rand::{Rng, SeedableRng};
 use rayon::with_max_threads;
 use spsep_bench::families::Family;
-use spsep_core::{preprocess, Algorithm};
-use spsep_graph::semiring::Tropical;
+use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 
-/// One full pipeline run at 4 threads, rendered to bytes: the
-/// serialized augmentation followed by the exact bit patterns of the
-/// distances from three sources.
+/// One full pipeline run at 4 threads, rendered to bytes: the v2
+/// snapshot followed by the exact bit patterns of the distances from
+/// three sources.
 fn run_serialized() -> Vec<u8> {
     run_serialized_at(4)
 }
@@ -25,19 +25,15 @@ fn run_serialized() -> Vec<u8> {
 /// Same pipeline at an arbitrary thread cap.
 fn run_serialized_at(threads: usize) -> Vec<u8> {
     let (g, tree) = Family::Grid2D.instance(256, 11);
+    let n = g.n();
     with_max_threads(threads, || {
         let metrics = Metrics::new();
-        let pre =
-            preprocess::<Tropical>(&g, &tree, Algorithm::LeavesUp, &metrics).expect("valid grid");
+        let oracle = Oracle::prepare(g, tree, Algorithm::LeavesUp, &metrics).expect("valid grid");
         let mut bytes = Vec::new();
-        let aug = spsep_core::Augmentation::<Tropical> {
-            eplus: pre.eplus().to_vec(),
-            stats: pre.stats(),
-        };
-        spsep_core::io::write_augmentation(g.n(), &aug, &mut bytes).expect("in-memory write");
-        for s in [0usize, g.n() / 2, g.n() - 1] {
-            let (dist, _) = pre.distances_seq(s);
-            for d in dist {
+        oracle.save_v2(&mut bytes).expect("in-memory write");
+        for s in [0usize, n / 2, n - 1] {
+            let dist = oracle.source_table(s, &metrics).expect("in-range source");
+            for d in dist.iter() {
                 bytes.extend_from_slice(&d.to_bits().to_le_bytes());
             }
         }
@@ -57,8 +53,8 @@ fn five_runs_at_four_threads_serialize_byte_identically() {
 #[test]
 fn tracing_leaves_outputs_byte_identical_at_any_thread_count() {
     // The observability layer must be purely observational: with spans
-    // recording on every level/round, the serialized augmentation and
-    // raw distance bits stay byte-for-byte what an untraced run
+    // recording on every level/round, the snapshot bytes and raw
+    // distance bits stay byte-for-byte what an untraced run
     // produces, at every thread count.
     let reference = run_serialized();
     spsep_trace::enable();

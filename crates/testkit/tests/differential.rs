@@ -3,15 +3,15 @@
 //! Contract under test (see the `rayon` shim docs): chunk boundaries
 //! are a pure function of input length and all merges happen in chunk
 //! order, so *every* pipeline output — preprocessing, scheduled
-//! queries, reachability closures, and the baseline fallback — must be
-//! **bit-identical** at 1, 2, 4, and 8 threads, and must agree with the
-//! Dijkstra oracle. `f64` distances are compared via `to_bits`, not
+//! queries through [`Oracle::batch`], and reachability closures — must
+//! be **bit-identical** at 1, 2, 4, and 8 threads, and must agree with
+//! the Dijkstra oracle. `f64` distances are compared via `to_bits`, not
 //! `==`, so `-0.0` vs `0.0` or NaN-payload drift would be caught.
 
 use rayon::with_max_threads;
 use spsep_baselines::dijkstra;
 use spsep_bench::families::Family;
-use spsep_core::{preprocess, preprocess_or_fallback, Algorithm, FallbackPolicy};
+use spsep_core::{Algorithm, Oracle};
 use spsep_graph::semiring::Tropical;
 use spsep_graph::{BitMatrix, DiGraph};
 use spsep_pram::Metrics;
@@ -25,7 +25,8 @@ fn sources_for(n: usize) -> [usize; 3] {
     [0, n / 2, n - 1]
 }
 
-/// Preprocess + query from every probe source, entirely under `threads`.
+/// Prepare an oracle and batch-query every vertex from every probe
+/// source, entirely under `threads`.
 fn distance_rows(
     g: &DiGraph<f64>,
     tree: &SepTree,
@@ -34,9 +35,17 @@ fn distance_rows(
 ) -> Vec<Vec<f64>> {
     with_max_threads(threads, || {
         let metrics = Metrics::new();
-        let pre = preprocess::<Tropical>(g, tree, algo, &metrics)
-            .unwrap_or_else(|e| panic!("preprocess at {threads} threads: {e}"));
-        pre.distances_multi(&sources_for(g.n()))
+        let oracle = Oracle::prepare(g.clone(), tree.clone(), algo, &metrics)
+            .unwrap_or_else(|e| panic!("prepare at {threads} threads: {e}"));
+        let n = g.n();
+        let pairs: Vec<(usize, usize)> = sources_for(n)
+            .iter()
+            .flat_map(|&s| (0..n).map(move |v| (s, v)))
+            .collect();
+        let flat = oracle
+            .batch(&pairs, &metrics)
+            .unwrap_or_else(|e| panic!("batch at {threads} threads: {e}"));
+        flat.chunks(n).map(<[f64]>::to_vec).collect()
     })
 }
 
@@ -185,42 +194,6 @@ fn blocked_kernels_match_naive_on_every_family_and_thread_count() {
             for (i, (a, b)) in sq.data().iter().zip(sq_ref.0.data()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{context}: cell {i}: {a} vs {b}");
             }
-        }
-    }
-}
-
-#[test]
-fn fallback_path_is_bit_identical_across_thread_counts() {
-    // A zero E+ budget forces the baseline path; its par_iter'd solvers
-    // are bound by the same determinism contract as the fast path.
-    let policy = FallbackPolicy {
-        max_eplus_candidates: Some(0),
-        ..FallbackPolicy::default()
-    };
-    for family in Family::all() {
-        let (g, tree) = family.instance(N_TARGET, SEED);
-        let rows_at = |threads: usize| -> Vec<Vec<f64>> {
-            with_max_threads(threads, || {
-                let metrics = Metrics::new();
-                let prepared = preprocess_or_fallback(&g, &tree, &policy, &metrics)
-                    .unwrap_or_else(|e| panic!("{}: fallback refused: {e}", family.label()));
-                assert!(
-                    !prepared.is_fast(),
-                    "{}: zero budget must force the baseline",
-                    family.label()
-                );
-                sources_for(g.n())
-                    .iter()
-                    .map(|&s| prepared.distances(s, &metrics))
-                    .collect()
-            })
-        };
-        let reference = rows_at(1);
-        assert_rows_match_oracle(&g, &reference, family.label());
-        for threads in THREAD_COUNTS {
-            let got = rows_at(threads);
-            let context = format!("{} fallback at {threads} threads", family.label());
-            assert_rows_bit_identical(&reference, &got, &context);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! One end-to-end flow through every major feature, the way a power user
 //! would chain them: generate → decompose → persist tree → reload →
-//! preprocess (all three algorithms) → persist E⁺ → reload → query
+//! preprocess (all three algorithms) → persist the oracle → reload → query
 //! (single / multi / init / pairs) → SP tree → explain → verify
 //! everything against baselines.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spsep::baselines;
-use spsep::core::{explain, io as core_io, preprocess, query, Algorithm, Preprocessed};
+use spsep::core::{explain, preprocess, query, Algorithm, Oracle, Preprocessed};
 use spsep::graph::semiring::Tropical;
 use spsep::graph::{generators, io as graph_io};
 use spsep::pram::Metrics;
@@ -57,17 +57,19 @@ fn the_whole_stack() {
     }
     let pre = first.unwrap();
 
-    // E⁺ persistence round-trip, then identical queries.
-    let aug = spsep::core::Augmentation {
-        eplus: pre.eplus().to_vec(),
-        stats: pre.stats(),
-    };
-    let mut ebuf = Vec::new();
-    core_io::write_augmentation(n, &aug, &mut ebuf).unwrap();
-    let (n2, aug2) = core_io::read_augmentation(ebuf.as_slice()).unwrap();
-    assert_eq!(n2, n);
-    let pre2 = Preprocessed::compile(&g, &tree, aug2);
-    assert_eq!(pre.distances_seq(7).0, pre2.distances_seq(7).0);
+    // Oracle persistence round-trip (v2 snapshot), then identical queries.
+    let metrics = Metrics::new();
+    let oracle = Oracle::prepare(g.clone(), tree.clone(), Algorithm::LeavesUp, &metrics).unwrap();
+    let mut snapshot = Vec::new();
+    oracle.save_v2(&mut snapshot).unwrap();
+    let served = Oracle::load(snapshot.as_slice()).unwrap();
+    assert_eq!(served.n(), n);
+    let reloaded = served.source_table(7, &metrics).unwrap();
+    let fresh = pre.distances_seq(7).0;
+    assert!(fresh
+        .iter()
+        .zip(reloaded.iter())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
 
     // Query surface: multi, init, pairs, explicit path, explanation.
     let rows = pre.distances_multi(&[0, 7, n - 1]);
