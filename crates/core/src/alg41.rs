@@ -36,6 +36,7 @@ use crate::augment::{
 use crate::workspace::{NodeWorkspace, WorkspacePool};
 use crate::AbsorbingCycle;
 use rayon::prelude::*;
+use spsep_graph::dense::relax_product;
 use spsep_graph::{DiGraph, Edge, Semiring};
 use spsep_pram::{Counter, Metrics, PhaseRecord};
 use spsep_separator::SepTree;
@@ -179,13 +180,26 @@ fn process_leaf<S: Semiring>(
     }
 }
 
-/// Read `dist_{G(child)}(u, v)` from a child's interface matrix, `0̄` if
-/// either endpoint is outside the child's interface.
+/// Marks a parent interface vertex that a child's interface lacks.
+const NO_POS: u32 = u32::MAX;
+
+/// Position in `ci`'s interface matrix of each separator vertex, then
+/// each boundary vertex, of `iface` ([`NO_POS`] where `ci` lacks it).
+fn child_positions(iface: &Interface, ci: &Interface, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(iface.sep_pos.iter().chain(&iface.bnd_pos).map(|&p| {
+        ci.local(iface.verts[p as usize])
+            .map_or(NO_POS, |q| q as u32)
+    }));
+}
+
+/// `dist_{G(child)}` between the parent vertices at `i` and `j` of the
+/// child's position map (`0̄` if either is outside its interface).
 #[inline]
-fn child_dist<S: Semiring>(ci: &Interface, cmat: &[S::W], u: u32, v: u32) -> S::W {
-    match (ci.local(u), ci.local(v)) {
-        (Some(a), Some(b)) => cmat[a * ci.len() + b],
-        _ => S::zero(),
+fn child_dist<S: Semiring>(pos: &[u32], cmat: &[S::W], clen: usize, i: usize, j: usize) -> S::W {
+    match (pos[i], pos[j]) {
+        (NO_POS, _) | (_, NO_POS) => S::zero(),
+        (a, b) => cmat[a as usize * clen + b as usize],
     }
 }
 
@@ -201,29 +215,25 @@ pub(crate) fn process_internal<S: Semiring>(
 ) -> NodeOutput<S> {
     let ns = iface.sep_pos.len();
     let nb = iface.bnd_pos.len();
-    ws.sep_verts.clear();
-    ws.sep_verts
-        .extend(iface.sep_pos.iter().map(|&p| iface.verts[p as usize]));
-    ws.bnd_verts.clear();
-    ws.bnd_verts
-        .extend(iface.bnd_pos.iter().map(|&p| iface.verts[p as usize]));
-    let sep_verts = &ws.sep_verts;
-    let bnd_verts = &ws.bnd_verts;
-
-    let both = |u: u32, v: u32| -> S::W {
+    // Child positions of the separator (`0..ns`) and boundary
+    // (`ns..ns + nb`) vertices, looked up once per node.
+    child_positions(iface, ci1, &mut ws.pos1);
+    child_positions(iface, ci2, &mut ws.pos2);
+    let (pos1, pos2) = (&ws.pos1, &ws.pos2);
+    let both = |i: usize, j: usize| -> S::W {
         S::combine(
-            child_dist::<S>(ci1, m1, u, v),
-            child_dist::<S>(ci2, m2, u, v),
+            child_dist::<S>(pos1, m1, ci1.len(), i, j),
+            child_dist::<S>(pos2, m2, ci2.len(), i, j),
         )
     };
 
     // Step i–ii: H_S and its closure.
     let hs = &mut ws.dense;
     hs.reset_identity(ns);
-    for (a, &u) in sep_verts.iter().enumerate() {
-        for (b, &v) in sep_verts.iter().enumerate() {
+    for a in 0..ns {
+        for b in 0..ns {
             if a != b {
-                hs.relax(a, b, both(u, v));
+                hs.relax(a, b, both(a, b));
             }
         }
     }
@@ -234,77 +244,34 @@ pub(crate) fn process_internal<S: Semiring>(
     // R[b][s] = child dist b→s; C[s][b] = child dist s→b;
     // direct[b][b'] = child dist b→b'.
     ws.r.clear();
-    ws.r.resize(nb * ns, S::zero());
     ws.c.clear();
-    ws.c.resize(ns * nb, S::zero());
     ws.direct.clear();
-    ws.direct.resize(nb * nb, S::zero());
-    for (bi, &bv) in bnd_verts.iter().enumerate() {
-        for (si, &sv) in sep_verts.iter().enumerate() {
-            ws.r[bi * ns + si] = both(bv, sv);
-            ws.c[si * nb + bi] = both(sv, bv);
-        }
-        for (bj, &bw) in bnd_verts.iter().enumerate() {
-            ws.direct[bi * nb + bj] = if bi == bj { S::one() } else { both(bv, bw) };
-        }
+    for bi in 0..nb {
+        ws.r.extend((0..ns).map(|si| both(ns + bi, si)));
+        ws.direct.extend((0..nb).map(|bj| {
+            if bi == bj {
+                S::one()
+            } else {
+                both(ns + bi, ns + bj)
+            }
+        }));
+    }
+    for si in 0..ns {
+        ws.c.extend((0..nb).map(|bi| both(si, ns + bi)));
     }
 
     // Step iv: 3-limited distances B → S → S → B as two min-plus
-    // products T = R ⊗ H_S*, OUT = direct ⊕ T ⊗ C. Rows run in parallel
-    // when the product is large (the top tree levels have few nodes but
-    // big matrices, so without this the critical path would be
-    // sequential).
+    // products T = R ⊗ H_S*, OUT = direct ⊕ T ⊗ C, in row-relax form on
+    // the dispatched relax primitive. Each cell folds its candidates in
+    // ascending `s` order, as an inner product would. The product
+    // spreads rows over the pool when it is large (the top tree
+    // levels have few nodes but big matrices, so without this the
+    // critical path would be sequential).
     ws.t.clear();
     ws.t.resize(nb * ns, S::zero());
-    let r = &ws.r;
-    let t_row = |bi: usize, row: &mut [S::W]| {
-        for (s2, cell) in row.iter_mut().enumerate() {
-            let mut acc = S::zero();
-            for s1 in 0..ns {
-                let rv = r[bi * ns + s1];
-                if S::is_zero(rv) {
-                    continue;
-                }
-                acc = S::combine(acc, S::extend(rv, hs.get(s1, s2)));
-            }
-            *cell = acc;
-        }
-    };
-    if nb * ns * ns >= 1 << 16 {
-        ws.t.par_chunks_mut(ns.max(1))
-            .enumerate()
-            .for_each(|(bi, row)| t_row(bi, row));
-    } else {
-        for (bi, row) in ws.t.chunks_mut(ns.max(1)).enumerate() {
-            t_row(bi, row);
-        }
-    }
-    let t = &ws.t;
-    let c = &ws.c;
-    let out_bb = &mut ws.direct;
-    let out_row = |bi: usize, row: &mut [S::W]| {
-        for (bj, cell) in row.iter_mut().enumerate() {
-            let mut acc = *cell;
-            for s2 in 0..ns {
-                let tv = t[bi * ns + s2];
-                if S::is_zero(tv) {
-                    continue;
-                }
-                acc = S::combine(acc, S::extend(tv, c[s2 * nb + bj]));
-            }
-            *cell = acc;
-        }
-    };
-    if nb * nb * ns >= 1 << 16 {
-        out_bb
-            .par_chunks_mut(nb.max(1))
-            .enumerate()
-            .for_each(|(bi, row)| out_row(bi, row));
-    } else {
-        for (bi, row) in out_bb.chunks_mut(nb.max(1)).enumerate() {
-            out_row(bi, row);
-        }
-    }
+    relax_product::<S>(&mut ws.t, &ws.r, hs.data(), nb, ns, ns);
+    relax_product::<S>(&mut ws.direct, &ws.t, &ws.c, nb, ns, nb);
+    let out_bb = &ws.direct;
     let limited_ops =
         (nb as u64) * (ns as u64) * (ns as u64) + (nb as u64) * (nb as u64) * (ns as u64);
 

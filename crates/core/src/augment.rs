@@ -85,20 +85,82 @@ impl Interface {
 }
 
 /// Deduplicate parallel shortcut edges, keeping the `combine`-better
-/// weight, dropping self-loops and `0̄` (no-path) entries.
-pub fn dedupe_eplus<S: Semiring>(mut edges: Vec<Edge<S::W>>) -> Vec<Edge<S::W>> {
-    edges.retain(|e| e.from != e.to && !S::is_zero(e.w));
-    edges.sort_unstable_by_key(|e| (e.from, e.to));
-    let mut out: Vec<Edge<S::W>> = Vec::with_capacity(edges.len());
-    for e in edges {
-        match out.last_mut() {
-            Some(last) if last.from == e.from && last.to == e.to => {
-                last.w = S::combine(last.w, e.w);
-            }
-            _ => out.push(e),
+/// weight, dropping self-loops and `0̄` (no-path) entries. The output is
+/// sorted by `(from, to)`; parallel edges are combined in input order.
+///
+/// Linear passes instead of one global sort: the input's runs of
+/// consecutive edges with one source (each node emits its pairs row by
+/// row) are counting-sorted by source, stably. Then, per source and in
+/// parallel over blocks of sources, its edges are merged in input order
+/// through a dense target → index map, and the distinct targets sorted.
+pub fn dedupe_eplus<S: Semiring>(edges: Vec<Edge<S::W>>) -> Vec<Edge<S::W>> {
+    use rayon::prelude::*;
+
+    let _span = spsep_trace::span!("augment.dedupe", raw = edges.len());
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut n = 0;
+    for (i, e) in edges.iter().enumerate() {
+        n = n.max(e.from.max(e.to) as usize + 1);
+        match runs.last_mut() {
+            Some(run) if edges[run.0].from == e.from => run.1 = i + 1,
+            _ => runs.push((i, i + 1)),
         }
     }
-    out
+    // by_source[start[v]..start[v + 1]] will hold the runs leaving v.
+    let mut start = vec![0usize; n + 1];
+    for &(i, _) in &runs {
+        start[edges[i].from as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut by_source = vec![(0, 0); runs.len()];
+    let mut next = start[..n].to_vec();
+    for &run in &runs {
+        let slot = &mut next[edges[run.0].from as usize];
+        by_source[*slot] = run;
+        *slot += 1;
+    }
+
+    const BLOCKS: usize = 64;
+    const ABSENT: u32 = u32::MAX;
+    let blocks = BLOCKS.min(n);
+    let parts: Vec<Vec<Edge<S::W>>> = (0..blocks)
+        .into_par_iter()
+        .map(|b| {
+            let mut out: Vec<Edge<S::W>> = Vec::new();
+            // Position of the current source's edge to each target,
+            // counted from its first edge in `out`.
+            let mut at = vec![ABSENT; n];
+            for v in n * b / blocks..n * (b + 1) / blocks {
+                let first = out.len();
+                for &(i, j) in &by_source[start[v]..start[v + 1]] {
+                    for e in &edges[i..j] {
+                        if e.from == e.to || S::is_zero(e.w) {
+                            continue;
+                        }
+                        let k = &mut at[e.to as usize];
+                        if *k == ABSENT {
+                            *k = (out.len() - first) as u32;
+                            out.push(*e);
+                        } else {
+                            let kept = &mut out[first + *k as usize];
+                            kept.w = S::combine(kept.w, e.w);
+                        }
+                    }
+                }
+                let targets = &mut out[first..];
+                for e in targets.iter() {
+                    at[e.to as usize] = ABSENT;
+                }
+                targets.sort_unstable_by_key(|e| e.to);
+            }
+            out
+        })
+        .collect();
+    // Free the raw pairs before the output is assembled.
+    drop(edges);
+    parts.concat()
 }
 
 /// Emit the `E_t` entries of one node from its interface matrix `mat`
@@ -306,6 +368,55 @@ mod tests {
         assert_eq!(out[0].from, 0);
         assert_eq!(out[0].w, 1.0);
         assert_eq!(out[1].from, 2);
+    }
+
+    /// The comparator form of [`dedupe_eplus`]: filter, a stable sort by
+    /// `(from, to)`, then merge equal pairs in order.
+    fn dedupe_by_sorting(mut edges: Vec<Edge<f64>>) -> Vec<Edge<f64>> {
+        edges.retain(|e| e.from != e.to && !Tropical::is_zero(e.w));
+        edges.sort_by_key(|e| (e.from, e.to));
+        let mut out: Vec<Edge<f64>> = Vec::new();
+        for e in edges {
+            match out.last_mut() {
+                Some(last) if last.from == e.from && last.to == e.to => {
+                    last.w = Tropical::combine(last.w, e.w);
+                }
+                _ => out.push(e),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dedupe_equals_sort_then_merge_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        // `±0.0` ties make the combine order visible in the sign bit.
+        let pool = [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, f64::INFINITY];
+        for seed in 0..40u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..30u32);
+            let mut edges = Vec::new();
+            // Runs with one source, as the algorithms emit them, with
+            // repeated pairs, self-loops and `0̄` weights.
+            for _ in 0..rng.gen_range(0..60) {
+                let from = rng.gen_range(0..n);
+                for _ in 0..rng.gen_range(1..8) {
+                    let to = rng.gen_range(0..n);
+                    let w = pool[rng.gen_range(0..pool.len())];
+                    edges.push(Edge::new(from as usize, to as usize, w));
+                }
+            }
+            let want = dedupe_by_sorting(edges.clone());
+            let got = dedupe_eplus::<Tropical>(edges);
+            assert_eq!(got.len(), want.len(), "seed {seed}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.from, g.to, g.w.to_bits()),
+                    (w.from, w.to, w.w.to_bits()),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

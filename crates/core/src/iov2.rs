@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! offset 0    magic    "SPSEPORC"                  (8 bytes)
-//! offset 8    u32      version (= 2)
+//! offset 8    u32      version (= 3)
 //! offset 12   u32      augmentation algorithm (0 | 1 | 2)
 //! offset 16   u32      section count (= 13)
 //! offset 20   u32      reserved (= 0)
@@ -30,12 +30,21 @@
 //!                 pad      4 bytes (= 0)
 //!                 u64      payload offset (absolute, 64-byte aligned)
 //!                 u64      payload length in bytes
-//!                 u64      FNV-1a 64 checksum of the payload
+//!                 u64      checksum of the payload (below)
 //! payloads    each starting at the 64-byte boundary after its
 //!             predecessor, the gap zero-filled; the first at the
 //!             boundary after the section table
 //! trailer     "SPSEPEND" immediately after the last payload (8 bytes)
 //! ```
+//!
+//! The checksum of a payload is FNV-1a over its little-endian `u64`
+//! words ([`WordHasher`], [`spsep_graph::bytes::fnv1a64_words`]): the
+//! last word zero-padded, each word folded in as `h ← (h ⊕ word) · p`
+//! from the FNV-1a 64 offset basis with the FNV-1a 64 prime `p`, and the
+//! payload's byte length folded in last the same way. The writer
+//! ([`write_snapshot_v2`]) streams every section straight from the
+//! in-memory arrays, so the hasher runs over the same slices, carrying
+//! its state from one bucket's slice to the next.
 //!
 //! The layout is **canonical**: offsets are fully determined by the
 //! lengths, padding must be zero, and sections appear in the fixed
@@ -67,9 +76,11 @@
 //!
 //! Files from older builds are refused with a typed
 //! [`SpsepError::Parse`] that says to re-run `spsep-cli prepare`:
-//! `spsep-oracle/v1` snapshots (version word 1), the earlier v2
-//! layout of 14 sections, which carried the tree as a trailing `TREE`
-//! section, and the earlier bucket layout of `3(d_G+1)+1` buckets,
+//! `spsep-oracle/v1` snapshots (version word 1), files with version
+//! word 2 (this layout under byte-wise FNV-1a section checksums), the
+//! earlier v2 layout of 14 sections, which carried the tree as a
+//! trailing `TREE` section, and the earlier bucket layout of
+//! `3(d_G+1)+1` buckets,
 //! whose one `E` bucket served both the entry and the exit phases
 //! (this build writes `3(d_G+1)+2`: separate entry and exit buckets).
 //!
@@ -90,18 +101,25 @@ use crate::augment::AugmentStats;
 use crate::query::Preprocessed;
 use crate::schedule::{ArcRec, Bucket, Group, Schedule};
 use crate::Algorithm;
-use spsep_graph::bytes::{fnv1a64, ByteReader, ByteWriter};
+use rayon::prelude::*;
+use spsep_graph::bytes::{fnv1a64_words, ByteReader, ByteWriter, WordHasher};
 use spsep_graph::semiring::Tropical;
-use spsep_graph::slab::Pod;
+use spsep_graph::slab::{pod_bytes, Pod};
 use spsep_graph::{DiGraph, Edge, Slab, SlabBytes, SpsepError};
+use std::io::Write;
 use std::sync::Arc;
 
 /// File magic of an `spsep-oracle` snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SPSEPORC";
 /// Trailer magic closing a snapshot (truncation sentinel).
 pub const SNAPSHOT_TRAILER: &[u8; 8] = b"SPSEPEND";
-/// Format version written and read by this module.
-pub const SNAPSHOT_VERSION_V2: u32 = 2;
+/// Version word written and read by this module: the v2 layout with
+/// word-wise section checksums ([`WordHasher`]).
+pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version word of the same layout with byte-wise FNV-1a section
+/// checksums, which earlier builds wrote; refused with a re-prepare
+/// error.
+const BYTE_CHECKSUM_VERSION: u32 = 2;
 /// Alignment (bytes) of every section payload.
 pub const SECTION_ALIGN: usize = 64;
 /// Number of sections in a v2 snapshot.
@@ -197,31 +215,26 @@ fn algo_from_code(code: u32) -> Result<Algorithm, SpsepError> {
 // Writer
 // ---------------------------------------------------------------------
 
-fn put_u32s(w: &mut ByteWriter, vals: &[u32]) {
-    for &v in vals {
-        w.u32(v);
-    }
-}
-
-fn put_edges(w: &mut ByteWriter, edges: &[Edge<f64>]) {
-    for e in edges {
-        w.u32(e.from);
-        w.u32(e.to);
-        w.f64(e.w);
-    }
-}
-
-/// Serialize a prepared instance as a canonical v2 snapshot.
+/// Stream a prepared instance to `out` as a canonical v2 snapshot.
+///
+/// Every section is written straight from the in-memory arrays it
+/// holds, as their [`pod_bytes`] views: nothing is copied into an
+/// intermediate buffer. The checksums, which the section table carries
+/// ahead of the payloads, are one [`WordHasher`] pass over the same
+/// slices first. Callers writing to a file should hand in a buffered
+/// writer; the pieces are as small as one bucket's source list.
 ///
 /// # Errors
 ///
+/// [`SpsepError::Io`] if writing to `out` fails;
 /// [`SpsepError::Parse`] on a big-endian host (the format is
 /// little-endian only and never byte-swaps).
-pub fn snapshot_v2_to_bytes(
+pub fn write_snapshot_v2<W: Write>(
+    out: &mut W,
     graph: &DiGraph<f64>,
     algo: Algorithm,
     pre: &Preprocessed<Tropical>,
-) -> Result<Vec<u8>, SpsepError> {
+) -> Result<(), SpsepError> {
     require_little_endian("write")?;
     let n = graph.n();
     let m = graph.m();
@@ -230,7 +243,6 @@ pub fn snapshot_v2_to_bytes(
     let schedule = pre.schedule();
     let buckets = schedule.buckets();
 
-    // META.
     let mut meta = ByteWriter::new();
     meta.u64(n as u64);
     meta.u64(m as u64);
@@ -243,111 +255,87 @@ pub fn snapshot_v2_to_bytes(
     meta.u64(schedule.total_phases() as u64);
     meta.u64(buckets.len() as u64);
     meta.u64(schedule.sequence().len() as u64);
+    let meta = meta.into_inner();
 
-    // AEDG: the whole augmented edge slab (base edges, then E⁺).
-    let mut aedg = ByteWriter::new();
-    put_edges(&mut aedg, aug_edges);
-
-    // Graph CSR.
-    let mut ooff = ByteWriter::new();
-    put_u32s(&mut ooff, graph.first_out());
-    let mut oadj = ByteWriter::new();
-    put_u32s(&mut oadj, graph.out_adjacency());
-    let mut ioff = ByteWriter::new();
-    put_u32s(&mut ioff, graph.first_in());
-    let mut iadj = ByteWriter::new();
-    put_u32s(&mut iadj, graph.in_adjacency());
-
-    // Per-vertex tables.
-    let mut lvls = ByteWriter::new();
-    put_u32s(&mut lvls, pre.levels());
-    let mut nord = ByteWriter::new();
-    put_u32s(&mut nord, pre.order_rank());
-
-    // Schedule: phase sequence + concatenated buckets with prefix
-    // offsets.
-    let mut seqn = ByteWriter::new();
-    put_u32s(&mut seqn, schedule.sequence());
-    let mut boff = ByteWriter::new();
-    let mut bsrc = ByteWriter::new();
-    let mut bgrp = ByteWriter::new();
-    let mut barc = ByteWriter::new();
-    let mut acc = [0u64; 3];
-    let mut offs: [Vec<u64>; 3] = [vec![0], vec![0], vec![0]];
-    for b in buckets {
-        acc[0] += b.sources().len() as u64;
-        acc[1] += b.groups().len() as u64;
-        acc[2] += b.arcs().len() as u64;
-        for (o, &a) in offs.iter_mut().zip(acc.iter()) {
-            o.push(a);
-        }
-        put_u32s(&mut bsrc, b.sources());
-        for g in b.groups() {
-            bgrp.u32(g.target);
-            bgrp.u32(g.start);
-            bgrp.u32(g.end);
-        }
-        for arc in b.arcs() {
-            barc.u32(arc.slot);
-            barc.u32(arc.id);
-            barc.f64(arc.w);
-        }
-    }
-    for o in &offs {
-        for &v in o {
-            boff.u64(v);
+    // BOFF: per-bucket prefix offsets into BSRC, then BGRP, then BARC.
+    let nb = buckets.len();
+    let mut boff = vec![0u64; 3 * (nb + 1)];
+    for (i, b) in buckets.iter().enumerate() {
+        let lens = [b.sources().len(), b.groups().len(), b.arcs().len()];
+        for (k, len) in lens.into_iter().enumerate() {
+            boff[k * (nb + 1) + i + 1] = boff[k * (nb + 1) + i] + len as u64;
         }
     }
 
-    let payloads: [Vec<u8>; SECTION_COUNT] = [
-        meta.into_inner(),
-        aedg.into_inner(),
-        ooff.into_inner(),
-        oadj.into_inner(),
-        ioff.into_inner(),
-        iadj.into_inner(),
-        lvls.into_inner(),
-        nord.into_inner(),
-        seqn.into_inner(),
-        boff.into_inner(),
-        bsrc.into_inner(),
-        bgrp.into_inner(),
-        barc.into_inner(),
+    // Each section as the pieces it is streamed from, in file order.
+    let sections: [Vec<&[u8]>; SECTION_COUNT] = [
+        vec![&meta],
+        vec![pod_bytes(aug_edges)],
+        vec![pod_bytes(graph.first_out())],
+        vec![pod_bytes(graph.out_adjacency())],
+        vec![pod_bytes(graph.first_in())],
+        vec![pod_bytes(graph.in_adjacency())],
+        vec![pod_bytes(pre.levels())],
+        vec![pod_bytes(pre.order_rank())],
+        vec![pod_bytes(schedule.sequence())],
+        vec![pod_bytes(&boff)],
+        buckets.iter().map(|b| pod_bytes(b.sources())).collect(),
+        buckets.iter().map(|b| pod_bytes(b.groups())).collect(),
+        buckets.iter().map(|b| pod_bytes(b.arcs())).collect(),
     ];
+    let lens: Vec<usize> = sections
+        .iter()
+        .map(|pieces| pieces.iter().map(|p| p.len()).sum())
+        .collect();
+    let sums: Vec<u64> = sections
+        .par_iter()
+        .map(|pieces| {
+            let mut h = WordHasher::new();
+            for p in pieces {
+                h.update(p);
+            }
+            h.finish()
+        })
+        .collect();
 
     // Canonical layout: offsets are a pure function of the lengths.
     let table_end = HEADER_LEN + TABLE_ENTRY_LEN * SECTION_COUNT;
-    let mut offsets = [0u64; SECTION_COUNT];
+    let mut offsets = [0usize; SECTION_COUNT];
     let mut cursor = pad_to_align(table_end);
-    for (i, p) in payloads.iter().enumerate() {
-        offsets[i] = cursor as u64;
-        cursor += p.len();
+    for (i, &len) in lens.iter().enumerate() {
+        offsets[i] = cursor;
+        cursor += len;
         if i + 1 < SECTION_COUNT {
             cursor = pad_to_align(cursor);
         }
     }
 
-    let mut w = ByteWriter::new();
-    w.bytes(SNAPSHOT_MAGIC);
-    w.u32(SNAPSHOT_VERSION_V2);
-    w.u32(algo_code(algo));
-    w.u32(SECTION_COUNT as u32);
-    w.u32(0); // reserved
-    for (i, p) in payloads.iter().enumerate() {
-        w.bytes(SECTION_TAGS[i]);
-        w.u32(0); // tag pad
-        w.u64(offsets[i]);
-        w.u64(p.len() as u64);
-        w.u64(fnv1a64(p));
+    let mut head = ByteWriter::new();
+    head.bytes(SNAPSHOT_MAGIC);
+    head.u32(SNAPSHOT_VERSION);
+    head.u32(algo_code(algo));
+    head.u32(SECTION_COUNT as u32);
+    head.u32(0); // reserved
+    for i in 0..SECTION_COUNT {
+        head.bytes(SECTION_TAGS[i]);
+        head.u32(0); // tag pad
+        head.u64(offsets[i] as u64);
+        head.u64(lens[i] as u64);
+        head.u64(sums[i]);
     }
-    for (i, p) in payloads.iter().enumerate() {
-        while w.len() < offsets[i] as usize {
-            w.u8(0);
+    let head = head.into_inner();
+    out.write_all(&head)?;
+    let mut written = head.len();
+    let zeros = [0u8; SECTION_ALIGN];
+    for (i, pieces) in sections.iter().enumerate() {
+        out.write_all(&zeros[..offsets[i] - written])?;
+        for p in pieces {
+            out.write_all(p)?;
         }
-        w.bytes(p);
+        written = offsets[i] + lens[i];
     }
-    w.bytes(SNAPSHOT_TRAILER);
-    Ok(w.into_inner())
+    out.write_all(SNAPSHOT_TRAILER)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -410,9 +398,15 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
              {REPREPARE}"
         )));
     }
-    if version != SNAPSHOT_VERSION_V2 {
+    if version == BYTE_CHECKSUM_VERSION {
         return Err(SpsepError::parse(format!(
-            "snapshot version {version} unsupported (this reader handles v{SNAPSHOT_VERSION_V2})"
+            "found a snapshot with the byte-wise section checksums of an older build \
+             (version {version}; this build reads version {SNAPSHOT_VERSION}); {REPREPARE}"
+        )));
+    }
+    if version != SNAPSHOT_VERSION {
+        return Err(SpsepError::parse(format!(
+            "snapshot version {version} unsupported (this reader handles version {SNAPSHOT_VERSION})"
         )));
     }
     let algo = algo_from_code(r.u32("algorithm code")?)?;
@@ -513,13 +507,15 @@ pub fn snapshot_v2_from_slab(bytes: Arc<SlabBytes>) -> Result<SnapshotV2, SpsepE
         gap_start = ent.off + ent.len;
     }
     // Checksums.
-    for (i, ent) in entries.iter().enumerate() {
-        let actual = fnv1a64(&buf[ent.off..ent.off + ent.len]);
-        if actual != sums[i] {
+    let actual: Vec<u64> = entries
+        .par_iter()
+        .map(|ent| fnv1a64_words(&buf[ent.off..ent.off + ent.len]))
+        .collect();
+    for (i, (&stored, &actual)) in sums.iter().zip(&actual).enumerate() {
+        if actual != stored {
             return Err(SpsepError::parse(format!(
-                "checksum mismatch in section '{}': stored {:#018x}, computed {actual:#018x}",
+                "checksum mismatch in section '{}': stored {stored:#018x}, computed {actual:#018x}",
                 String::from_utf8_lossy(SECTION_TAGS[i]),
-                sums[i]
             )));
         }
     }
@@ -792,7 +788,8 @@ mod tests {
 
     fn snapshot(dims: [usize; 2], seed: u64) -> (Vec<u8>, DiGraph<f64>, Preprocessed<Tropical>) {
         let (g, pre) = instance(dims, seed);
-        let bytes = snapshot_v2_to_bytes(&g, Algorithm::LeavesUp, &pre).unwrap();
+        let mut bytes = Vec::new();
+        write_snapshot_v2(&mut bytes, &g, Algorithm::LeavesUp, &pre).unwrap();
         (bytes, g, pre)
     }
 
@@ -837,11 +834,16 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(load(bad), Err(SpsepError::Parse { .. })));
-        // Version skew (v2 bytes claiming v3).
+        // Version skew (current bytes claiming the next version).
         let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&3u32.to_le_bytes());
+        bad[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
         let err = load(bad).unwrap_err();
-        assert!(err.to_string().contains("version 3"), "{err}");
+        assert!(err.to_string().contains("version 4"), "{err}");
+        // The previous version word: the byte-checksum build's files.
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&BYTE_CHECKSUM_VERSION.to_le_bytes());
+        let err = load(bad).unwrap_err();
+        assert!(err.to_string().contains(REPREPARE), "{err}");
         // Unknown algorithm.
         let mut bad = bytes.clone();
         bad[12..16].copy_from_slice(&9u32.to_le_bytes());

@@ -354,7 +354,9 @@ impl Oracle {
     /// Persist this oracle as a zero-copy `spsep-oracle/v2` snapshot
     /// (see [`crate::iov2`]): the compiled query state is laid out as
     /// aligned slabs that [`Oracle::load_path`] can borrow straight out
-    /// of a memory mapping.
+    /// of a memory mapping. The sections are streamed from the oracle's
+    /// arrays through a buffer of their own, so `out` may be a bare
+    /// file.
     ///
     /// # Errors
     ///
@@ -364,8 +366,9 @@ impl Oracle {
     pub fn save_v2<W: Write>(&self, out: &mut W) -> Result<(), SpsepError> {
         let mut span = spsep_trace::span!("oracle.save_v2", n = self.graph.n());
         span.add_ops((self.graph.m() + self.pre.eplus().len()) as u64);
-        let bytes = iov2::snapshot_v2_to_bytes(&self.graph, self.algo, &self.pre)?;
-        out.write_all(&bytes)?;
+        let mut out = std::io::BufWriter::with_capacity(1 << 20, out);
+        iov2::write_snapshot_v2(&mut out, &self.graph, self.algo, &self.pre)?;
+        out.flush()?;
         Ok(())
     }
 
@@ -378,9 +381,10 @@ impl Oracle {
     /// [`SpsepError::Io`] on read failure; [`SpsepError::Parse`] on any
     /// corruption (bad magic, version skew, checksum mismatch,
     /// truncation, semantic damage caught by the section validators)
-    /// and on snapshots from older builds (`spsep-oracle/v1`, the
-    /// earlier 14-section v2 layout, or the earlier bucket layout with
-    /// one `E` bucket), whose message says to re-run
+    /// and on snapshots from older builds (`spsep-oracle/v1`, version
+    /// word 2 with byte-wise section checksums, the earlier 14-section
+    /// v2 layout, or the earlier bucket layout with one `E` bucket),
+    /// whose message says to re-run
     /// `spsep-cli prepare`; [`SpsepError::InvalidGraph`] if the CSR
     /// arrays are inconsistent.
     pub fn load<R: Read>(mut input: R) -> Result<Oracle, SpsepError> {

@@ -43,20 +43,25 @@ impl<S: Semiring> Preprocessed<S> {
     /// by the layout (see [`crate::schedule::Bucket`]).
     pub fn compile(g: &DiGraph<S::W>, tree: &SepTree, augmentation: Augmentation<S>) -> Self {
         let Augmentation { eplus, stats } = augmentation;
+        // `E ∪ E⁺` in the buffer of `E⁺`: grow it, move `E⁺` up, and copy
+        // `E` in front, so two copies of `E⁺` are never alive at once.
+        let base_m = g.m();
+        let a = eplus.len();
+        let mut aug_edges = eplus;
+        aug_edges.extend_from_slice(g.edges());
+        aug_edges.copy_within(0..a, base_m);
+        aug_edges[..base_m].copy_from_slice(g.edges());
         let levels = tree.vertex_levels().to_vec();
         let order = separator_locality_order(tree);
         let schedule = Schedule::<S>::compile(
             g.n(),
             g.edges(),
-            &eplus,
+            &aug_edges[base_m..],
             &levels,
             stats.d_g,
             stats.leaf_bound,
             order.ranks(),
         );
-        let mut aug_edges = g.edges().to_vec();
-        let base_m = aug_edges.len();
-        aug_edges.extend(eplus);
         Preprocessed {
             n: g.n(),
             aug_edges: aug_edges.into(),

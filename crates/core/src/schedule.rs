@@ -37,6 +37,7 @@
 //! `O(l·|E_∞| + |E ∪ E⁺|)`, where `E_∞ ⊆ E` are the arcs with a level-∞
 //! endpoint — at most the `O(l·|E| + |E ∪ E⁺|)` bound of Section 3.2.
 
+use rayon::prelude::*;
 use spsep_graph::slab::Pod;
 use spsep_graph::{Edge, Semiring, Store};
 use spsep_pram::{Counter, Metrics};
@@ -111,35 +112,75 @@ impl<W: Copy> Bucket<W> {
     /// candidate sequences, and therefore answers and parent pointers,
     /// are identical for every choice of order (the order is purely a
     /// layout decision).
-    fn build(mut raw: Vec<(u32, u32, u32, W)>, rank: &[u32]) -> Bucket<W> {
-        raw.sort_unstable_by_key(|&(f, t, id, _)| (rank[t as usize], f, id));
-        let mut sources: Vec<u32> = raw.iter().map(|&(f, _, _, _)| f).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let slot_of = |v: u32| {
-            sources
-                .binary_search(&v)
-                .unwrap_or_else(|_| unreachable!("source present")) as u32
+    ///
+    /// Linear passes: a dense vertex → slot map for the source list, a
+    /// counting sort by target rank, and a short sort by `(from, edge
+    /// id)` within each target.
+    fn build(raw: Vec<(u32, u32, u32, W)>, rank: &[u32]) -> Bucket<W> {
+        let n = rank.len();
+        let Some(&(_, _, _, w0)) = raw.first() else {
+            return Bucket {
+                sources: Vec::new().into(),
+                groups: Vec::new().into(),
+                arcs: Vec::new().into(),
+            };
         };
-        let mut groups = Vec::new();
-        let mut arcs: Vec<ArcRec<W>> = Vec::with_capacity(raw.len());
-        let mut i = 0;
-        while i < raw.len() {
-            let target = raw[i].1;
-            let start = arcs.len() as u32;
-            while i < raw.len() && raw[i].1 == target {
-                arcs.push(ArcRec {
-                    slot: slot_of(raw[i].0),
-                    id: raw[i].2,
-                    w: raw[i].3,
-                });
-                i += 1;
+        // Distinct sources in id order, and each one's slot. Slots follow
+        // source ids, so ordering arcs by `(slot, id)` orders them by
+        // `(from, id)`.
+        const ABSENT: u32 = u32::MAX;
+        let mut slot_of = vec![ABSENT; n];
+        for &(f, _, _, _) in &raw {
+            slot_of[f as usize] = 0;
+        }
+        let mut sources: Vec<u32> = Vec::new();
+        for (v, slot) in slot_of.iter_mut().enumerate() {
+            if *slot != ABSENT {
+                *slot = sources.len() as u32;
+                sources.push(v as u32);
             }
-            groups.push(Group {
-                target,
-                start,
-                end: arcs.len() as u32,
-            });
+        }
+
+        // Counting sort by target rank: start[r]..start[r + 1] receives
+        // the arcs entering target_at[r], the vertex of rank r.
+        let mut start = vec![0usize; n + 1];
+        let mut target_at = vec![ABSENT; n];
+        for &(_, t, _, _) in &raw {
+            let r = rank[t as usize] as usize;
+            start[r + 1] += 1;
+            target_at[r] = t;
+        }
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let fill = ArcRec {
+            slot: 0,
+            id: 0,
+            w: w0,
+        };
+        let mut arcs = vec![fill; raw.len()];
+        let mut next = start[..n].to_vec();
+        for &(f, t, id, w) in &raw {
+            let at = &mut next[rank[t as usize] as usize];
+            arcs[*at] = ArcRec {
+                slot: slot_of[f as usize],
+                id,
+                w,
+            };
+            *at += 1;
+        }
+
+        let mut groups = Vec::new();
+        for r in 0..n {
+            let (lo, hi) = (start[r], start[r + 1]);
+            if lo < hi {
+                arcs[lo..hi].sort_unstable_by_key(|a| (a.slot, a.id));
+                groups.push(Group {
+                    target: target_at[r],
+                    start: lo as u32,
+                    end: hi as u32,
+                });
+            }
         }
         Bucket {
             sources: sources.into(),
@@ -219,31 +260,40 @@ impl<S: Semiring> Schedule<S> {
         debug_assert_eq!(rank.len(), n);
         // Raw arcs per level bucket (3 per level), then the entry and
         // exit buckets. Edge ids: base edges are 0..|E|, shortcuts follow.
+        // An arc of `E` with a level-∞ endpoint lands in the entry and/or
+        // exit bucket; shortcut endpoints always have defined levels.
+        debug_assert!(eplus.iter().all(|e| {
+            levels[e.from as usize] != UNDEFINED_LEVEL && levels[e.to as usize] != UNDEFINED_LEVEL
+        }));
         let level_buckets = 3 * (d_g as usize + 1);
         let (entry, exit) = (level_buckets, level_buckets + 1);
-        type RawArcs<W> = Vec<Vec<(u32, u32, u32, W)>>;
-        let mut raw: RawArcs<S::W> = vec![Vec::new(); level_buckets + 2];
-        for (id, e) in base.iter().enumerate() {
-            let arc = (e.from, e.to, id as u32, e.w);
+        let route = |e: &Edge<S::W>| {
             let (lf, lt) = (levels[e.from as usize], levels[e.to as usize]);
-            if lf == UNDEFINED_LEVEL {
-                raw[entry].push(arc);
-            }
-            if lt == UNDEFINED_LEVEL {
-                raw[exit].push(arc);
-            }
-            if let Some(b) = classify(lf, lt, d_g) {
-                raw[b].push(arc);
+            [
+                (lf == UNDEFINED_LEVEL).then_some(entry),
+                (lt == UNDEFINED_LEVEL).then_some(exit),
+                classify(lf, lt, d_g),
+            ]
+            .into_iter()
+            .flatten()
+        };
+        let mut sizes = vec![0usize; level_buckets + 2];
+        for e in base.iter().chain(eplus) {
+            for b in route(e) {
+                sizes[b] += 1;
             }
         }
-        for (i, e) in eplus.iter().enumerate() {
-            let id = (base.len() + i) as u32;
-            let Some(b) = classify(levels[e.from as usize], levels[e.to as usize], d_g) else {
-                unreachable!("shortcut endpoints always have defined levels")
-            };
-            raw[b].push((e.from, e.to, id, e.w));
+        type RawArcs<W> = Vec<Vec<(u32, u32, u32, W)>>;
+        let mut raw: RawArcs<S::W> = sizes.iter().map(|&len| Vec::with_capacity(len)).collect();
+        for (id, e) in base.iter().chain(eplus).enumerate() {
+            for b in route(e) {
+                raw[b].push((e.from, e.to, id as u32, e.w));
+            }
         }
-        let buckets: Vec<Bucket<S::W>> = raw.into_iter().map(|r| Bucket::build(r, rank)).collect();
+        let buckets: Vec<Bucket<S::W>> = raw
+            .par_iter_mut()
+            .map(|r| Bucket::build(std::mem::take(r), rank))
+            .collect();
 
         // Phase sequence.
         let mut sequence: Vec<u32> = Vec::new();
@@ -459,6 +509,63 @@ mod tests {
 
     fn idrank(n: usize) -> Vec<u32> {
         (0..n as u32).collect()
+    }
+
+    /// The comparator form of [`Bucket::build`]: one sort by
+    /// `(rank[to], from, id)` and a binary search per arc for its slot.
+    fn build_by_sorting(mut raw: Vec<(u32, u32, u32, f64)>, rank: &[u32]) -> Bucket<f64> {
+        raw.sort_unstable_by_key(|&(f, t, id, _)| (rank[t as usize], f, id));
+        let mut sources: Vec<u32> = raw.iter().map(|a| a.0).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut arcs = Vec::new();
+        for (i, &(f, t, id, w)) in raw.iter().enumerate() {
+            match groups.last_mut() {
+                Some(g) if g.target == t => g.end += 1,
+                _ => groups.push(Group {
+                    target: t,
+                    start: i as u32,
+                    end: i as u32 + 1,
+                }),
+            }
+            let slot = sources.binary_search(&f).unwrap() as u32;
+            arcs.push(ArcRec { slot, id, w });
+        }
+        Bucket {
+            sources: sources.into(),
+            groups: groups.into(),
+            arcs: arcs.into(),
+        }
+    }
+
+    #[test]
+    fn bucket_build_equals_comparator_sort() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..25usize);
+            let mut rank: Vec<u32> = (0..n as u32).collect();
+            rank.shuffle(&mut rng);
+            // Unique ids, repeated (from, to) pairs, input not in id order.
+            let mut raw: Vec<(u32, u32, u32, f64)> = (0..rng.gen_range(0..80u32))
+                .map(|id| {
+                    let f = rng.gen_range(0..n as u32);
+                    let t = rng.gen_range(0..n as u32);
+                    (f, t, id, rng.gen_range(0..4) as f64)
+                })
+                .collect();
+            raw.shuffle(&mut rng);
+            let want = build_by_sorting(raw.clone(), &rank);
+            let got = Bucket::build(raw, &rank);
+            assert_eq!(got.sources(), want.sources(), "seed {seed}");
+            assert_eq!(got.groups(), want.groups(), "seed {seed}");
+            let key = |a: &ArcRec<f64>| (a.slot, a.id, a.w.to_bits());
+            let got_arcs: Vec<_> = got.arcs().iter().map(key).collect();
+            let want_arcs: Vec<_> = want.arcs().iter().map(key).collect();
+            assert_eq!(got_arcs, want_arcs, "seed {seed}");
+        }
     }
 
     #[test]

@@ -31,10 +31,11 @@ pub struct NodeWorkspace<S: Semiring> {
     /// internal nodes). Owns its own kernel scratch, so repeated
     /// Floyd–Warshall calls are allocation-free too.
     pub(crate) dense: SemiMatrix<S>,
-    /// Global ids of the node's separator vertices.
-    pub(crate) sep_verts: Vec<u32>,
-    /// Global ids of the node's boundary vertices.
-    pub(crate) bnd_verts: Vec<u32>,
+    /// Positions in the first child's interface of the node's separator
+    /// then boundary vertices.
+    pub(crate) pos1: Vec<u32>,
+    /// The same for the second child.
+    pub(crate) pos2: Vec<u32>,
     /// `R[b][s]` block of the 3-limited product (`B → S`).
     pub(crate) r: Vec<S::W>,
     /// `C[s][b]` block (`S → B`).
@@ -61,8 +62,8 @@ impl<S: Semiring> Default for NodeWorkspace<S> {
     fn default() -> Self {
         NodeWorkspace {
             dense: SemiMatrix::empty(0),
-            sep_verts: Vec::new(),
-            bnd_verts: Vec::new(),
+            pos1: Vec::new(),
+            pos2: Vec::new(),
             r: Vec::new(),
             c: Vec::new(),
             t: Vec::new(),
@@ -95,8 +96,8 @@ impl<S: Semiring> NodeWorkspace<S> {
                 + self.direct.capacity()
                 + self.leaf_w.capacity()
                 + self.dist_rows.capacity())
-            + u * (self.sep_verts.capacity()
-                + self.bnd_verts.capacity()
+            + u * (self.pos1.capacity()
+                + self.pos2.capacity()
                 + self.leaf_off.capacity()
                 + self.leaf_to.capacity()
                 + self.sources.capacity())

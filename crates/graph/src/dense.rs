@@ -100,6 +100,55 @@ fn dispatch_relax<S: Semiring>(sel: RelaxSel, dst: &mut [S::W], dik: S::W, src: 
     }
 }
 
+/// Minimum `rows · inner · cols` before [`relax_product`] fans its rows
+/// out to the pool.
+const PAR_PRODUCT_MIN_WORK: usize = 1 << 16;
+
+/// Rectangular product accumulated into `out`: `out ← out ⊕ (a ⊗ b)`,
+/// with `a` of shape `rows × inner`, `b` of shape `inner × cols` and
+/// `out` of shape `rows × cols`, all row-major.
+///
+/// Row-relax form: for each row `i`, for each `k` in ascending order
+/// with `a[i,k] ≠ 0̄`, one dispatched relax sweep
+/// `out[i,·] ← combine(out[i,·], extend(a[i,k], b[k,·]))`. Cell
+/// `(i, j)` therefore folds exactly the candidates of the dot-product
+/// loop `for k in 0..inner`, in the same order, starting from its own
+/// value, so the result is bit-identical to that loop (DESIGN.md §8).
+/// Rows run in parallel once `rows · inner · cols ≥ 2¹⁶`; each row is
+/// one task, so the result is the same at every thread count.
+///
+/// # Panics
+///
+/// If a slice length disagrees with its shape.
+pub fn relax_product<S: Semiring>(
+    out: &mut [S::W],
+    a: &[S::W],
+    b: &[S::W],
+    rows: usize,
+    inner: usize,
+    cols: usize,
+) {
+    assert_eq!(a.len(), rows * inner, "a must be rows × inner");
+    assert_eq!(b.len(), inner * cols, "b must be inner × cols");
+    assert_eq!(out.len(), rows * cols, "out must be rows × cols");
+    if rows == 0 || inner == 0 || cols == 0 {
+        return;
+    }
+    let sel = auto_sel::<S>();
+    let relax_row = |(i, row): (usize, &mut [S::W])| {
+        for (k, &aik) in a[i * inner..(i + 1) * inner].iter().enumerate() {
+            if !S::is_zero(aik) {
+                dispatch_relax::<S>(sel, row, aik, &b[k * cols..(k + 1) * cols]);
+            }
+        }
+    };
+    if rows * inner * cols >= PAR_PRODUCT_MIN_WORK {
+        out.par_chunks_mut(cols).enumerate().for_each(relax_row);
+    } else {
+        out.chunks_mut(cols).enumerate().for_each(relax_row);
+    }
+}
+
 /// Outcome of a dense kernel: primitive operation count and whether some
 /// diagonal entry strictly improved on the empty path (an absorbing
 /// cycle).

@@ -272,6 +272,19 @@ unsafe impl Pod for f64 {}
 // size 16, align 8, no padding; all three fields accept any bit pattern.
 unsafe impl Pod for Edge<f64> {}
 
+/// The bytes of a slice of [`Pod`] values, in memory order. On the
+/// little-endian hosts the snapshot format supports, these are exactly
+/// the values' little-endian encoding, so a writer can stream a typed
+/// array without serializing it element by element.
+pub fn pod_bytes<T: Pod>(values: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` has no padding bytes, so every byte of the slice
+    // is initialized; `u8` has alignment 1 and the length is the slice's
+    // own byte size, so the view covers exactly the borrowed memory.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
 /// Read-only memory mapping of a file (Unix).
 ///
 /// Declared against the raw C ABI because the build environment has no

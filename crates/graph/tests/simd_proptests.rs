@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spsep_graph::dense::SemiMatrix;
+use spsep_graph::dense::{relax_product, SemiMatrix};
 use spsep_graph::semiring::{Boolean, Bottleneck, MaxPlus, Reliability, Semiring, Tropical};
 
 /// Adversarial but NaN-free weight pool. `±∞` is included for every
@@ -145,6 +145,54 @@ fn check_semiring<S: Semiring<W = f64>>(n: usize, seed: u64, tag: &str) {
     }
 }
 
+/// `relax_product` against the naive triple loop over the same operands:
+/// each cell starts from its `out` value and folds `extend(a[i,k],
+/// b[k,j])` for `k` ascending, skipping `0̄` entries of `a`.
+fn check_product<S: Semiring<W = f64>>(
+    rows: usize,
+    inner: usize,
+    cols: usize,
+    seed: u64,
+    tag: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool =
+        |len: usize| -> Vec<f64> { (0..len).map(|_| hostile_weight(&mut rng)).collect() };
+    let a = pool(rows * inner);
+    let b = pool(inner * cols);
+    let out0 = pool(rows * cols);
+
+    let mut naive = out0.clone();
+    for i in 0..rows {
+        for j in 0..cols {
+            let mut acc = naive[i * cols + j];
+            for k in 0..inner {
+                let aik = a[i * inner + k];
+                if !S::is_zero(aik) {
+                    acc = S::combine(acc, S::extend(aik, b[k * cols + j]));
+                }
+            }
+            naive[i * cols + j] = acc;
+        }
+    }
+    let mut got = out0;
+    relax_product::<S>(&mut got, &a, &b, rows, inner, cols);
+    for (idx, (x, y)) in got.iter().zip(&naive).enumerate() {
+        prop_assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{} product {}x{}x{}: cell {} ({} vs {})",
+            tag,
+            rows,
+            inner,
+            cols,
+            idx,
+            x,
+            y
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -167,6 +215,28 @@ proptest! {
         n in 129usize..140, seed in any::<u64>()
     ) {
         check_semiring::<Tropical>(n, seed, "tropical-par");
+    }
+
+    /// The rectangular product entry point, on every shape up to 11 per
+    /// side: empty dimensions, and widths that are not a multiple of the
+    /// 4- or 8-lane widths.
+    #[test]
+    fn relax_product_bit_identical_to_naive_triple_loop(
+        rows in 0usize..12, inner in 0usize..12, cols in 0usize..12, seed in any::<u64>()
+    ) {
+        check_product::<Tropical>(rows, inner, cols, seed, "tropical");
+        check_product::<MaxPlus>(rows, inner, cols, seed ^ 0x1111, "maxplus");
+        check_product::<Bottleneck>(rows, inner, cols, seed ^ 0x2222, "bottleneck");
+        check_product::<Reliability>(rows, inner, cols, seed ^ 0x3333, "reliability");
+    }
+
+    /// Shapes past the product's parallel threshold (`rows · inner · cols
+    /// ≥ 2¹⁶`), so rows are spread over the pool.
+    #[test]
+    fn relax_product_bit_identical_past_parallel_threshold(
+        rows in 30usize..36, inner in 45usize..50, cols in 45usize..50, seed in any::<u64>()
+    ) {
+        check_product::<Tropical>(rows, inner, cols, seed, "tropical-par");
     }
 
     /// Non-f64 semirings must keep working untouched through the same

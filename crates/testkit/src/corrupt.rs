@@ -188,9 +188,10 @@ pub fn v2_section_bounds(bytes: &[u8]) -> Vec<(usize, usize)> {
     (0..V2_SECTION_COUNT).map(|i| v2_entry(bytes, i)).collect()
 }
 
-/// Patch the payload of v2 section `idx` in place and **fix the stored
-/// FNV-1a checksum** — a checksum-consistent semantic patch that the
-/// integrity layer cannot catch, so the per-section validators must.
+/// Patch the payload of v2 section `idx` in place and **reseal the
+/// stored section checksum** (`fnv1a64_words`) — a checksum-consistent
+/// semantic patch that the integrity layer cannot catch, so the
+/// per-section validators must.
 fn patch_section_v2(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8> {
     let (off, len) = v2_entry(bytes, idx);
     let mut payload = bytes[off..off + len].to_vec();
@@ -198,7 +199,7 @@ fn patch_section_v2(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8
     assert_eq!(payload.len(), len, "patches must preserve payload length");
     let mut out = bytes.to_vec();
     out[off..off + len].copy_from_slice(&payload);
-    let sum = spsep_graph::bytes::fnv1a64(&payload);
+    let sum = spsep_graph::bytes::fnv1a64_words(&payload);
     let sum_at = V2_HEADER_LEN + idx * V2_ENTRY_LEN + 24;
     out[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
     out
@@ -207,7 +208,7 @@ fn patch_section_v2(bytes: &[u8], idx: usize, patch: fn(&mut Vec<u8>)) -> Vec<u8
 /// The header and first section of an `spsep-oracle/v1` snapshot, the
 /// retired format older builds wrote: magic, version 1, the algorithm
 /// code of `v2`, section count 3, then a `GRPH` section holding an
-/// empty graph (`n = 0`, `m = 0`) under its FNV-1a checksum. No reader
+/// empty graph (`n = 0`, `m = 0`) under a section checksum. No reader
 /// accepts it any more; loading it must say to re-run
 /// `spsep-cli prepare`.
 pub fn v1_snapshot_header(v2: &[u8]) -> Vec<u8> {
@@ -218,7 +219,7 @@ pub fn v1_snapshot_header(v2: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&3u32.to_le_bytes());
     out.extend_from_slice(b"GRPH");
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&spsep_graph::bytes::fnv1a64(&payload).to_le_bytes());
+    out.extend_from_slice(&spsep_graph::bytes::fnv1a64_words(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -251,12 +252,21 @@ pub fn v2_with_trailing_tree_section(v2: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(tree_off as u64).to_le_bytes());
     out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
-    out.extend_from_slice(&spsep_graph::bytes::fnv1a64(tree).to_le_bytes());
+    out.extend_from_slice(&spsep_graph::bytes::fnv1a64_words(tree).to_le_bytes());
     out.resize(first_new, 0);
     out.extend_from_slice(&v2[first_old..body_end]);
     out.resize(tree_off, 0);
     out.extend_from_slice(tree);
     out.extend_from_slice(&v2[body_end..]); // the trailer
+    out
+}
+
+/// `v2` carrying the previous version word, 2: the version earlier
+/// builds wrote when the section checksums were byte-wise FNV-1a.
+/// Loading it must say to re-run `spsep-cli prepare`.
+pub fn v2_with_byte_checksum_version(v2: &[u8]) -> Vec<u8> {
+    let mut out = v2.to_vec();
+    out[8..12].copy_from_slice(&2u32.to_le_bytes());
     out
 }
 
@@ -351,10 +361,14 @@ pub fn snapshot_corruptions_v2() -> Vec<SnapshotCorruption> {
             apply: v2_with_trailing_tree_section,
         },
         SnapshotCorruption {
-            name: "v2: version skew (v3 from the future)",
+            name: "v2: previous version word with byte-wise checksums (re-prepare)",
+            apply: v2_with_byte_checksum_version,
+        },
+        SnapshotCorruption {
+            name: "v2: version skew (v4 from the future)",
             apply: |b| {
                 let mut out = b.to_vec();
-                out[8..12].copy_from_slice(&3u32.to_le_bytes());
+                out[8..12].copy_from_slice(&4u32.to_le_bytes());
                 out
             },
         },

@@ -44,7 +44,7 @@ pub mod corrupt;
 
 pub use corrupt::{
     import_corruptions, instance_corruptions, snapshot_corruptions_v2, text_corruptions,
-    v1_snapshot_header, v2_section_bounds, v2_with_one_e_bucket, v2_with_trailing_tree_section,
-    wire_corruptions, CorruptInstance, ImportCorruption, ImportInput, SnapshotCorruption,
-    TextCorruption, TextFormat, WireCorruption, WireExpectation,
+    v1_snapshot_header, v2_section_bounds, v2_with_byte_checksum_version, v2_with_one_e_bucket,
+    v2_with_trailing_tree_section, wire_corruptions, CorruptInstance, ImportCorruption,
+    ImportInput, SnapshotCorruption, TextCorruption, TextFormat, WireCorruption, WireExpectation,
 };

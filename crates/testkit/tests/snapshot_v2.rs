@@ -8,12 +8,17 @@
 //!    oracle.
 //! 2. **Truncation sweep** — a cut at *every* header/table byte and at
 //!    every slab page boundary (±1) is a typed error.
-//! 3. **Version skew** — a v1-layout file relabeled v2 and v2 bytes
-//!    relabeled as a future version both fail with typed errors.
+//!    A semantic patch resealed with the section checksum must be
+//!    rejected by its validator, never as a checksum mismatch.
+//! 3. **Version skew** — a v1-layout file relabeled with the current
+//!    version word (3) and current bytes relabeled as a future version
+//!    both fail with typed errors.
 //! 4. **Re-prepare errors** — an `spsep-oracle/v1` file, a file in
-//!    the older 14-section v2 layout (trailing `TREE` section) and one
+//!    the older 14-section v2 layout (trailing `TREE` section), one
 //!    in the older bucket layout (one `E` bucket for the entry and
-//!    exit phases, `3(d_G+1)+1` buckets) are refused by `Oracle::load` and `Oracle::load_path` with a
+//!    exit phases, `3(d_G+1)+1` buckets) and one carrying the previous
+//!    version word 2 (byte-wise section checksums) are refused by
+//!    `Oracle::load` and `Oracle::load_path` with a
 //!    [`SpsepError::Parse`] that names what was found and says to
 //!    re-run `spsep-cli prepare`.
 //! 5. **Daemon on v2** — a live daemon serving an mmapped v2 snapshot
@@ -25,8 +30,8 @@ use spsep_pram::Metrics;
 use spsep_separator::{builders, RecursionLimits};
 use spsep_serve::{Client, Request, Response, ServeConfig, Server};
 use spsep_testkit::{
-    snapshot_corruptions_v2, v1_snapshot_header, v2_section_bounds, v2_with_one_e_bucket,
-    v2_with_trailing_tree_section,
+    snapshot_corruptions_v2, v1_snapshot_header, v2_section_bounds, v2_with_byte_checksum_version,
+    v2_with_one_e_bucket, v2_with_trailing_tree_section,
 };
 use std::panic::resume_unwind;
 use std::sync::mpsc::RecvTimeoutError;
@@ -109,7 +114,18 @@ fn every_v2_corruption_is_a_typed_error_never_a_panic() {
                 "{name}: corruption did not change the bytes"
             );
             match std::panic::catch_unwind(|| Oracle::load(bad.as_slice())) {
-                Ok(Err(err)) => assert_typed(err, name),
+                Ok(Err(err)) => {
+                    // A resealed semantic patch must get past the
+                    // checksums to the validator it targets.
+                    if name.contains("checksum fixed") {
+                        let msg = err.to_string();
+                        assert!(
+                            !msg.contains("checksum mismatch"),
+                            "{name}: rejected by the checksum, not its validator: {msg}"
+                        );
+                    }
+                    assert_typed(err, name)
+                }
                 Ok(Ok(_)) => panic!("{name}: corrupted snapshot loaded successfully"),
                 Err(_) => panic!("{name}: load panicked"),
             }
@@ -159,21 +175,22 @@ fn truncation_at_every_header_byte_and_slab_boundary_is_a_typed_error() {
 fn version_skew_both_directions_is_a_typed_error() {
     let v2 = save_v2(&grid_oracle([6, 6], 23));
 
-    // A v1-layout file relabeled v2: the v2 reader rejects it.
+    // A v1-layout file relabeled with the current version word (3): the
+    // v2 reader rejects it.
     let mut v1_as_v2 = v1_snapshot_header(&v2);
-    v1_as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    v1_as_v2[8..12].copy_from_slice(&v2[8..12]);
     let Err(err) = Oracle::load(v1_as_v2.as_slice()) else {
-        panic!("v1 bytes relabeled v2 loaded successfully");
+        panic!("v1 bytes relabeled with the current version loaded successfully");
     };
-    assert_typed(err, "v1 relabeled v2");
+    assert_typed(err, "v1 relabeled current");
 
-    // v2 bytes relabeled as a future version.
+    // Current bytes relabeled as a future version.
     let mut future = v2;
-    future[8..12].copy_from_slice(&3u32.to_le_bytes());
+    future[8..12].copy_from_slice(&4u32.to_le_bytes());
     let Err(err) = Oracle::load(future.as_slice()) else {
-        panic!("v2 bytes relabeled v3 loaded successfully");
+        panic!("bytes relabeled v4 loaded successfully");
     };
-    assert_typed(err, "v2 relabeled v3");
+    assert_typed(err, "relabeled v4");
 }
 
 #[test]
@@ -185,6 +202,10 @@ fn older_snapshots_are_refused_with_a_re_prepare_error() {
         ("spsep-oracle/v1", v1_snapshot_header(&v2)),
         ("14-section", v2_with_trailing_tree_section(&v2)),
         ("one E bucket", v2_with_one_e_bucket(&v2)),
+        (
+            "byte-wise section checksums",
+            v2_with_byte_checksum_version(&v2),
+        ),
     ];
     for (found, bytes) in cases {
         let path = dir.join("old.sps");

@@ -73,3 +73,54 @@ fn reloaded_oracle_is_bit_identical_to_fresh_at_every_thread_count() {
         }
     }
 }
+
+/// Digest of a saved snapshot from the first section payload on: every
+/// section and the trailer, but not the header or the section table.
+/// The first payload starts at `pad₆₄(24 + 13·32) = 448`.
+fn payload_digest(graph_dims: &[usize], seed: u64, algo: Algorithm) -> (u64, usize) {
+    use rand::SeedableRng;
+    use spsep::graph::bytes::fnv1a64;
+    use spsep::separator::{builders, RecursionLimits};
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (g, _) = spsep::graph::generators::grid(graph_dims, &mut rng);
+    let tree = builders::grid_tree(graph_dims, RecursionLimits::default());
+    let oracle = Oracle::prepare(g, tree, algo, &Metrics::new()).expect("prepare");
+    let mut bytes = Vec::new();
+    oracle
+        .save_v2(&mut bytes)
+        .expect("save_v2 to a Vec cannot fail");
+    (fnv1a64(&bytes[448..]), bytes.len())
+}
+
+/// The snapshot payload is pinned byte for byte: `E⁺` (Alg 4.1 on a 3-D
+/// grid, Alg 4.3 on a 2-D grid), the compiled buckets and every other
+/// section must come out exactly as they always have. A change to the
+/// header (version word, section checksums) leaves these digests alone.
+#[test]
+fn snapshot_payload_bytes_are_pinned() {
+    let cases: [(&[usize], u64, Algorithm, u64, usize); 2] = [
+        (
+            &[7, 7, 7],
+            28,
+            Algorithm::LeavesUp,
+            0x7d29_b269_9dc8_498c,
+            863_240,
+        ),
+        (
+            &[14, 13],
+            28,
+            Algorithm::PathDoubling,
+            0x616f_857a_faae_ae45,
+            165_704,
+        ),
+    ];
+    for (dims, seed, algo, digest, len) in cases {
+        let (got, got_len) = payload_digest(dims, seed, algo);
+        assert_eq!(
+            (got, got_len),
+            (digest, len),
+            "{algo:?} on {dims:?}: payload digest {got:#018x}, {got_len} bytes"
+        );
+    }
+}
