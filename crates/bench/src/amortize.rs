@@ -1,5 +1,4 @@
-//! E18 — snapshot amortization: prepare-once vs load-and-serve, plus the
-//! `BENCH_amortize.json` artifact (schema `spsep-amortize/v2`).
+//! E18 — snapshot amortization: prepare-once vs load-and-serve.
 //!
 //! The serving layer (`spsep_core::oracle`, DESIGN.md §10) claims that
 //! reloading a persisted `spsep-oracle/v2` snapshot is much cheaper than
@@ -11,17 +10,14 @@
 //! the loaded oracle. Every row also re-checks that the loaded oracle
 //! is slab-backed (it serves straight out of the mapping on platforms
 //! with mmap) and the bit-identity contract (full loaded rows == fresh
-//! rows, compared via `to_bits`).
-//!
-//! The workspace has no serde: the artifact is written with `format!`,
-//! re-parsed by [`spsep_trace::json`], and validated before the `tables`
-//! binary writes it.
+//! rows, compared via `to_bits`). [`check_amortization`] turns those
+//! flags and the speedup itself into a pass/fail verdict that the
+//! `tables` binary and the smoke test both enforce.
 
 use crate::families::Family;
 use crate::{fmt_f, Table};
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
-use spsep_trace::json::{field, parse_json, Json};
 use std::time::Instant;
 
 /// Load repetitions per family; the recorded wall-clock is the minimum,
@@ -59,11 +55,10 @@ pub struct AmortRecord {
 }
 
 /// E18 — measure the prepare/load amortization for every family.
-/// Returns the rendered report plus the raw records for the JSON
-/// artifact.
+/// Returns the rendered report plus the raw records.
 ///
 /// `smoke` shrinks the instances so CI exercises the full pipeline
-/// (prepare → save → load → query → serialize → validate) in seconds.
+/// (prepare → save → load → query) in seconds.
 pub fn e18_amortization(smoke: bool) -> (String, Vec<AmortRecord>) {
     let n_target = if smoke { 240 } else { 1024 };
     let mut records = Vec::new();
@@ -144,12 +139,11 @@ pub fn e18_amortization(smoke: bool) -> (String, Vec<AmortRecord>) {
          (`Oracle::load_path`, best of {LOAD_REPS}), and one cold scheduled \
          query from the reloaded oracle.\n\n",
     );
-    out.push_str(&render_amortize_table(&records));
+    out.push_str(&render(&records));
     (out, records)
 }
 
-/// Render the E18 view.
-pub fn render_amortize_table(records: &[AmortRecord]) -> String {
+fn render(records: &[AmortRecord]) -> String {
     let mut t = Table::new(&[
         "family",
         "n",
@@ -179,164 +173,43 @@ pub fn render_amortize_table(records: &[AmortRecord]) -> String {
     t.render()
 }
 
-/// Serialize records as `spsep-amortize/v2` JSON.
-pub fn amortize_json(records: &[AmortRecord]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut s = String::from("{\n  \"schema\": \"spsep-amortize/v2\",\n");
-    s.push_str(&format!("  \"host_cores\": {cores},\n"));
-    s.push_str("  \"entries\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"m\": {}, \"eplus\": {}, \
-             \"snap_bytes\": {}, \"prepare_ms\": {:.4}, \"load_ms\": {:.4}, \
-             \"query_us\": {:.4}, \"amortization\": {:.4}, \
-             \"slab_backed\": {}, \"bit_identical\": {}}}{}\n",
-            r.family,
-            r.n,
-            r.m,
-            r.eplus,
-            r.snap_bytes,
-            r.prepare_ms,
-            r.load_ms,
-            r.query_us,
-            r.amortization,
-            r.slab_backed,
-            r.bit_identical,
-            if i + 1 == records.len() { "" } else { "," },
+/// The claims every E18 run must uphold: one row per family, each with
+/// a non-empty snapshot, positive finite timings, a slab-backed load
+/// (on platforms with mmap), answers bit-identical to fresh
+/// preprocessing, and a load that beats preparing. The speedup is
+/// claimed at both sizes: even the smoke instances in a debug build
+/// load several times faster than they prepare.
+pub fn check_amortization(records: &[AmortRecord]) -> Result<(), String> {
+    if records.len() != Family::all().len() {
+        return Err(format!(
+            "{} rows for {} families",
+            records.len(),
+            Family::all().len()
         ));
     }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Parse a validated `spsep-amortize/v2` document back into records —
-/// the `tables e18 --amortize-in` path that renders the committed
-/// artifact without re-measuring.
-pub fn read_amortize_json(json: &str) -> Result<Vec<AmortRecord>, String> {
-    validate_amortize_json(json)?;
-    let Json::Obj(top) = parse_json(json)? else {
-        unreachable!("validated above")
-    };
-    let Json::Arr(entries) = field(&top, "entries")? else {
-        unreachable!("validated above")
-    };
-    let mut out = Vec::with_capacity(entries.len());
-    for e in entries {
-        let Json::Obj(e) = e else {
-            unreachable!("validated above")
-        };
-        let num = |key: &str| -> f64 {
-            match field(e, key) {
-                Ok(Json::Num(v)) => *v,
-                _ => unreachable!("validated above"),
-            }
-        };
-        let family = match field(e, "family") {
-            Ok(Json::Str(v)) => v.clone(),
-            _ => unreachable!("validated above"),
-        };
-        let flag = |key: &str| matches!(field(e, key), Ok(Json::Bool(true)));
-        out.push(AmortRecord {
-            family,
-            n: num("n") as usize,
-            m: num("m") as usize,
-            eplus: num("eplus") as usize,
-            snap_bytes: num("snap_bytes") as usize,
-            prepare_ms: num("prepare_ms"),
-            load_ms: num("load_ms"),
-            query_us: num("query_us"),
-            amortization: num("amortization"),
-            slab_backed: flag("slab_backed"),
-            bit_identical: flag("bit_identical"),
-        });
-    }
-    Ok(out)
-}
-
-/// Validate a `spsep-amortize/v2` document. Returns the entry count.
-///
-/// Checks structure and types, entry-level invariants (positive sizes,
-/// finite positive timings, a positive amortization ratio consistent
-/// with `prepare_ms / load_ms`), and the two contract flags — an
-/// artifact recording diverging answers or a copying load must never
-/// validate.
-pub fn validate_amortize_json(json: &str) -> Result<usize, String> {
-    let Json::Obj(top) = parse_json(json)? else {
-        return Err("top level must be an object".into());
-    };
-    match field(&top, "schema")? {
-        Json::Str(s) if s == "spsep-amortize/v2" => {}
-        other => return Err(format!("bad schema field: {other:?}")),
-    }
-    let Json::Num(cores) = field(&top, "host_cores")? else {
-        return Err("`host_cores` must be a number".into());
-    };
-    if *cores < 1.0 {
-        return Err("`host_cores` must be >= 1".into());
-    }
-    let Json::Arr(entries) = field(&top, "entries")? else {
-        return Err("`entries` must be an array".into());
-    };
-    if entries.is_empty() {
-        return Err("`entries` is empty".into());
-    }
-    for (idx, e) in entries.iter().enumerate() {
-        let Json::Obj(e) = e else {
-            return Err(format!("entry {idx} is not an object"));
-        };
-        let ctx = |msg: &str| format!("entry {idx}: {msg}");
-        match field(e, "family").map_err(|m| ctx(&m))? {
-            Json::Str(s) if !s.is_empty() => {}
-            _ => return Err(ctx("`family` must be a non-empty string")),
+    for r in records {
+        let fail = |msg: String| Err(format!("{}: {msg}", r.family));
+        if r.n == 0 || r.m == 0 || r.snap_bytes == 0 {
+            return fail("empty instance or snapshot".into());
         }
-        for key in ["n", "m", "snap_bytes"] {
-            match field(e, key).map_err(|m| ctx(&m))? {
-                Json::Num(v) if *v >= 1.0 && v.fract() == 0.0 => {}
-                _ => return Err(ctx(&format!("`{key}` must be a positive integer"))),
-            }
+        let timings = [r.prepare_ms, r.load_ms, r.query_us];
+        if !timings.iter().all(|t| t.is_finite() && *t > 0.0) {
+            return fail(format!("non-positive timing in {timings:?}"));
         }
-        match field(e, "eplus").map_err(|m| ctx(&m))? {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => {}
-            _ => return Err(ctx("`eplus` must be a non-negative integer")),
+        if !r.bit_identical {
+            return fail("snapshot round-trip diverged from fresh preprocessing".into());
         }
-        let t = |key: &str| -> Result<f64, String> {
-            match field(e, key).map_err(|m| ctx(&m))? {
-                Json::Num(v) if *v > 0.0 && v.is_finite() => Ok(*v),
-                _ => Err(ctx(&format!("`{key}` must be a finite positive number"))),
-            }
-        };
-        let prepare_ms = t("prepare_ms")?;
-        let load_ms = t("load_ms")?;
-        let _query_us = t("query_us")?;
-        let amortization = t("amortization")?;
-        // The stored ratio must agree with its factors (both sides are
-        // rounded to 4 decimals, so allow a generous tolerance).
-        let expected = prepare_ms / load_ms;
-        if expected > 0.01 && (amortization - expected).abs() / expected > 0.05 {
-            return Err(ctx(&format!(
-                "`amortization` {amortization} inconsistent with prepare/load = {expected:.4}"
-            )));
+        if cfg!(unix) && !r.slab_backed {
+            return fail("the load copied instead of mapping".into());
         }
-        match field(e, "slab_backed").map_err(|m| ctx(&m))? {
-            Json::Bool(true) => {}
-            Json::Bool(false) => {
-                return Err(ctx(
-                    "`slab_backed` is false: the load copied instead of mapping",
-                ))
-            }
-            _ => return Err(ctx("`slab_backed` must be a boolean")),
-        }
-        match field(e, "bit_identical").map_err(|m| ctx(&m))? {
-            Json::Bool(true) => {}
-            Json::Bool(false) => {
-                return Err(ctx(
-                    "`bit_identical` is false: the snapshot round-trip diverged",
-                ))
-            }
-            _ => return Err(ctx("`bit_identical` must be a boolean")),
+        if r.amortization <= 1.0 {
+            return fail(format!(
+                "load ({} ms) is not cheaper than prepare ({} ms)",
+                r.load_ms, r.prepare_ms
+            ));
         }
     }
-    Ok(entries.len())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -344,9 +217,10 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<AmortRecord> {
-        vec![
-            AmortRecord {
-                family: "grid2d".into(),
+        Family::all()
+            .iter()
+            .map(|f| AmortRecord {
+                family: f.slug().into(),
                 n: 1024,
                 m: 3968,
                 eplus: 5000,
@@ -357,113 +231,38 @@ mod tests {
                 amortization: 21.0,
                 slab_backed: true,
                 bit_identical: true,
-            },
-            AmortRecord {
-                family: "tree".into(),
-                n: 1023,
-                m: 2044,
-                eplus: 900,
-                snap_bytes: 60_000,
-                prepare_ms: 10.0,
-                load_ms: 1.0,
-                query_us: 90.0,
-                amortization: 10.0,
-                slab_backed: true,
-                bit_identical: true,
-            },
-        ]
+            })
+            .collect()
     }
 
     #[test]
-    fn writer_output_validates_and_roundtrips() {
-        let rows = sample();
-        let json = amortize_json(&rows);
-        assert_eq!(validate_amortize_json(&json), Ok(2));
-        let back = read_amortize_json(&json).unwrap();
-        assert_eq!(back.len(), rows.len());
-        for (a, b) in rows.iter().zip(&back) {
-            assert_eq!(a.family, b.family);
-            assert_eq!(
-                (a.n, a.m, a.eplus, a.snap_bytes),
-                (b.n, b.m, b.eplus, b.snap_bytes)
-            );
-            assert!((a.amortization - b.amortization).abs() < 1e-6);
+    fn check_rejects_each_broken_claim() {
+        assert_eq!(check_amortization(&sample()), Ok(()));
+        let broken: [fn(&mut AmortRecord); 5] = [
+            |r| r.bit_identical = false,
+            |r| r.snap_bytes = 0,
+            |r| r.load_ms = 0.0,
+            |r| r.query_us = f64::NAN,
+            |r| r.amortization = 0.9,
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut rows = sample();
+            breaks(&mut rows[2]);
+            assert!(check_amortization(&rows).is_err(), "case {i}");
         }
-        let view = render_amortize_table(&back);
-        assert!(view.contains("grid2d"), "{view}");
-        assert!(view.contains("speedup"), "{view}");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
-        assert!(validate_amortize_json("").is_err());
-        assert!(validate_amortize_json("[]").is_err());
-        assert!(validate_amortize_json("{\"schema\": \"other/v9\"}").is_err());
-        let good = amortize_json(&sample());
-        assert!(validate_amortize_json(&good.replace("spsep-amortize/v2", "nope")).is_err());
-        // A diverging round-trip or a copying load must never validate.
+        // A copying load fails wherever a mapping is possible.
         let mut rows = sample();
-        rows[0].bit_identical = false;
-        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
-        let mut rows = sample();
-        rows[1].slab_backed = false;
-        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
-        // Ratio inconsistent with its factors.
-        let mut rows = sample();
-        rows[0].amortization = 500.0;
-        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
-        // Zero / negative timings.
-        let mut rows = sample();
-        rows[1].load_ms = 0.0;
-        assert!(validate_amortize_json(&amortize_json(&rows)).is_err());
-        // Empty entry list / truncated document.
-        let mut empty = amortize_json(&[]);
-        assert!(validate_amortize_json(&empty).is_err());
-        empty.truncate(empty.len() / 2);
-        assert!(validate_amortize_json(&empty).is_err());
-    }
-
-    #[test]
-    fn committed_artifact_validates_and_amortizes() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_amortize.json");
-        let json =
-            std::fs::read_to_string(path).expect("BENCH_amortize.json committed at repo root");
-        let entries =
-            validate_amortize_json(&json).expect("committed artifact is valid spsep-amortize/v2");
-        assert_eq!(entries, 5, "one row per family");
-        // The serving layer's claim, as measured on the committed run:
-        // loading a snapshot beats re-preprocessing on every family.
-        for r in read_amortize_json(&json).unwrap() {
-            assert!(
-                r.amortization > 1.0,
-                "{}: load ({} ms) is not cheaper than prepare ({} ms)",
-                r.family,
-                r.load_ms,
-                r.prepare_ms
-            );
-        }
+        rows[0].slab_backed = false;
+        assert_eq!(check_amortization(&rows).is_err(), cfg!(unix));
+        // One row per family.
+        assert!(check_amortization(&sample()[1..]).is_err());
     }
 
     #[test]
     fn e18_smoke_covers_every_family() {
         let (report, records) = e18_amortization(true);
-        assert_eq!(records.len(), 5, "{report}");
-        for r in &records {
-            assert!(
-                r.bit_identical,
-                "{}: snapshot round-trip diverged",
-                r.family
-            );
-            #[cfg(unix)]
-            assert!(r.slab_backed, "{}: load is not slab-backed", r.family);
-            assert!(r.snap_bytes > 0, "{}: empty snapshot", r.family);
-            assert!(
-                r.prepare_ms > 0.0 && r.load_ms > 0.0,
-                "{}: empty timings",
-                r.family
-            );
+        if let Err(e) = check_amortization(&records) {
+            panic!("{e}\n{report}");
         }
-        let json = amortize_json(&records);
-        assert_eq!(validate_amortize_json(&json), Ok(5));
     }
 }

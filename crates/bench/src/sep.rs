@@ -1,12 +1,11 @@
-//! E23 — separator quality on a real road-network instance, plus the
-//! `BENCH_sep.json` artifact (schema `spsep-sep-bench/v1`).
+//! E23 — separator quality on a real road-network instance.
 //!
-//! ISSUE 10 / ROADMAP item 3: every earlier table ran on synthetic
-//! families ≤ ~1.5k nodes, so the c·√k balanced-separator claim — the
-//! quantity every preprocessing bound in the paper is written in — was
-//! never measured on the workload the paper targets (§6: near-planar
-//! road networks). E23 decomposes the committed `data/road-160x150.gr`
-//! instance (regenerated bit-exactly from its seed) with both applicable
+//! Every other table runs on synthetic families ≤ ~1.5k nodes, so the
+//! c·√k balanced-separator claim — the quantity every preprocessing
+//! bound in the paper is written in — would otherwise go unmeasured on
+//! the workload the paper targets (§6: near-planar road networks). E23
+//! decomposes the committed `data/road-160x150.gr` instance
+//! (regenerated bit-exactly from its seed) with both applicable
 //! builders:
 //!
 //! * `bfs`   — the general-purpose BFS-level builder (`-b bfs`);
@@ -15,24 +14,18 @@
 //!   on this instance);
 //!
 //! and reports, per builder, the [`spsep_separator::QualityReport`]
-//! numbers (one shared implementation with `spsep-cli info` — another
-//! ISSUE 10 satellite) plus end-to-end prepare and per-source query
-//! wall-clocks. The validator *encodes the acceptance bar*: the
-//! `level` builder must meet the `c ≤ 4.0` √-bound and its `E⁺`
-//! candidate mass must be strictly smaller than `bfs`'s on the same
-//! instance — an artifact recording a regression can never validate,
-//! and the committed-artifact test re-checks it on every CI run.
-//!
-//! Same no-serde discipline as E18 and E21: hand-rolled writer,
-//! [`spsep_trace::json`] re-parse, validation before the `tables` binary
-//! writes anything.
+//! numbers (one shared implementation with `spsep-cli info`) plus
+//! end-to-end prepare and per-source query wall-clocks.
+//! [`check_separators`] *encodes the acceptance bar*: the `level`
+//! builder must meet the `c ≤ 4.0` √-bound and its `E⁺` candidate mass
+//! must be strictly smaller than `bfs`'s on the same instance. The
+//! `tables` binary and the smoke test both enforce it on every run.
 
 use crate::{fmt_f, Table};
 use spsep_core::{Algorithm, Oracle};
 use spsep_pram::Metrics;
 use spsep_separator::planar::road_network;
 use spsep_separator::{planar_level_tree, separator_quality, RecursionLimits, SepTree};
-use spsep_trace::json::{field, parse_json, Json};
 use std::time::Instant;
 
 /// The √-bound the improved builder is held to: `|S(t)| ≤ 4·√|V(t)|`
@@ -84,11 +77,11 @@ pub struct SepRecord {
 }
 
 /// E23 — measure both builders on the road instance. Returns the
-/// rendered report plus the raw records for the JSON artifact.
+/// rendered report plus the raw records.
 ///
 /// `smoke` swaps the committed 24 000-node instance for a 1 200-node
 /// one so CI exercises the full pipeline (generate → decompose ×2 →
-/// validate → prepare → query → serialize → validate) in seconds.
+/// validate → prepare → query) in seconds.
 pub fn e23_separators(smoke: bool) -> (String, Vec<SepRecord>) {
     let (w, h, seed) = if smoke { ROAD_SMOKE } else { ROAD_FULL };
     let (g, _, _) = road_network(w, h, seed);
@@ -145,12 +138,11 @@ pub fn e23_separators(smoke: bool) -> (String, Vec<SepRecord>) {
         g.n(),
         g.m()
     );
-    out.push_str(&render_sep_table(&records));
+    out.push_str(&render(&records));
     (out, records)
 }
 
-/// Render the E23 view.
-pub fn render_sep_table(records: &[SepRecord]) -> String {
+fn render(records: &[SepRecord]) -> String {
     let mut t = Table::new(&[
         "builder",
         "n",
@@ -184,207 +176,55 @@ pub fn render_sep_table(records: &[SepRecord]) -> String {
     t.render()
 }
 
-/// Serialize records as `spsep-sep-bench/v1` JSON.
-pub fn sep_json(records: &[SepRecord]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut s = String::from("{\n  \"schema\": \"spsep-sep-bench/v1\",\n");
-    s.push_str(&format!("  \"host_cores\": {cores},\n"));
-    s.push_str(&format!("  \"c_bound\": {C_BOUND},\n"));
-    s.push_str("  \"entries\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"builder\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"height\": {}, \"max_sep\": {}, \"root_sep\": {}, \
-             \"total_sep\": {}, \"sqrt_c\": {:.4}, \"balance\": {:.4}, \
-             \"eplus_candidates\": {}, \"prepare_ms\": {:.4}, \
-             \"query_ms\": {:.4}, \"meets_bound\": {}}}{}\n",
-            r.builder,
-            r.n,
-            r.m,
-            r.height,
-            r.max_sep,
-            r.root_sep,
-            r.total_sep,
-            r.sqrt_c,
-            r.balance,
-            r.eplus_candidates,
-            r.prepare_ms,
-            r.query_ms,
-            r.meets_bound,
-            if i + 1 == records.len() { "" } else { "," },
+/// The claims every E23 run must uphold. Per row: a non-degenerate
+/// decomposition with `total_sep ≥ max_sep ≥ root_sep`, balance in
+/// `(0, 1]` and positive finite timings. Across rows, the acceptance
+/// bar: one `bfs` and one `level` row on one instance, the `level`
+/// builder meets the √-bound (`c ≤ C_BOUND`), and its `E⁺` candidate
+/// mass is strictly below `bfs`'s.
+pub fn check_separators(records: &[SepRecord]) -> Result<(), String> {
+    for r in records {
+        let fail = |msg: &str| Err(format!("{}: {msg}", r.builder));
+        if r.height < 1 || r.max_sep < 1 || r.eplus_candidates < 1 {
+            return fail("degenerate decomposition (height/max_sep/eplus = 0)");
+        }
+        if !(r.total_sep >= r.max_sep && r.max_sep >= r.root_sep) {
+            return fail("separator sizes violate total_sep ≥ max_sep ≥ root_sep");
+        }
+        if !(r.balance > 0.0 && r.balance <= 1.0) {
+            return fail("balance outside (0, 1]");
+        }
+        if ![r.prepare_ms, r.query_ms]
+            .iter()
+            .all(|t| t.is_finite() && *t > 0.0)
+        {
+            return fail("non-positive timing");
+        }
+    }
+    let get = |slug: &str| {
+        let mut rows = records.iter().filter(|r| r.builder == slug);
+        match (rows.next(), rows.next()) {
+            (Some(r), None) => Ok(r),
+            _ => Err(format!("expected exactly one {slug} row")),
+        }
+    };
+    let (bfs, level) = (get("bfs")?, get("level")?);
+    if records.len() != 2 || bfs.n != level.n {
+        return Err("expected one bfs and one level row on one instance".into());
+    }
+    if !level.meets_bound {
+        return Err(format!(
+            "level builder misses the √-bound: c = {:.3} > {C_BOUND}",
+            level.sqrt_c
         ));
     }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Parse a validated `spsep-sep-bench/v1` document back into records —
-/// the `tables e23 --sep-in` path that renders the committed artifact
-/// without re-measuring.
-pub fn read_sep_json(json: &str) -> Result<Vec<SepRecord>, String> {
-    validate_sep_json(json)?;
-    let Json::Obj(top) = parse_json(json)? else {
-        unreachable!("validated above")
-    };
-    let Json::Arr(entries) = field(&top, "entries")? else {
-        unreachable!("validated above")
-    };
-    let mut out = Vec::with_capacity(entries.len());
-    for e in entries {
-        let Json::Obj(e) = e else {
-            unreachable!("validated above")
-        };
-        let num = |key: &str| -> f64 {
-            match field(e, key) {
-                Ok(Json::Num(v)) => *v,
-                _ => unreachable!("validated above"),
-            }
-        };
-        let builder = match field(e, "builder") {
-            Ok(Json::Str(v)) => v.clone(),
-            _ => unreachable!("validated above"),
-        };
-        out.push(SepRecord {
-            builder,
-            n: num("n") as usize,
-            m: num("m") as usize,
-            height: num("height") as u32,
-            max_sep: num("max_sep") as usize,
-            root_sep: num("root_sep") as usize,
-            total_sep: num("total_sep") as usize,
-            sqrt_c: num("sqrt_c"),
-            balance: num("balance"),
-            eplus_candidates: num("eplus_candidates") as usize,
-            prepare_ms: num("prepare_ms"),
-            query_ms: num("query_ms"),
-            meets_bound: matches!(field(e, "meets_bound"), Ok(Json::Bool(true))),
-        });
+    if level.eplus_candidates >= bfs.eplus_candidates {
+        return Err(format!(
+            "level builder eplus_candidates {} is not strictly below bfs's {}",
+            level.eplus_candidates, bfs.eplus_candidates
+        ));
     }
-    Ok(out)
-}
-
-/// Validate a `spsep-sep-bench/v1` document. Returns the entry count.
-///
-/// Beyond structure and per-entry sanity (positive sizes, finite
-/// timings, `meets_bound` consistent with `sqrt_c` vs `c_bound`,
-/// `max_sep ≥ root_sep`, balance in `(0, 1]`), this encodes the
-/// acceptance bar as a cross-entry invariant: for every instance
-/// size `n` present, the `level` builder must (a) meet the √-bound and
-/// (b) have a strictly smaller `eplus_candidates` than the `bfs`
-/// builder. An artifact recording a separator-quality regression can
-/// never validate, so it can never be committed.
-pub fn validate_sep_json(json: &str) -> Result<usize, String> {
-    let Json::Obj(top) = parse_json(json)? else {
-        return Err("top level must be an object".into());
-    };
-    match field(&top, "schema")? {
-        Json::Str(s) if s == "spsep-sep-bench/v1" => {}
-        other => return Err(format!("bad schema field: {other:?}")),
-    }
-    let Json::Num(cores) = field(&top, "host_cores")? else {
-        return Err("`host_cores` must be a number".into());
-    };
-    if *cores < 1.0 {
-        return Err("`host_cores` must be >= 1".into());
-    }
-    let Json::Num(c_bound) = field(&top, "c_bound")? else {
-        return Err("`c_bound` must be a number".into());
-    };
-    let c_bound = *c_bound;
-    if !(c_bound.is_finite() && c_bound > 0.0) {
-        return Err("`c_bound` must be a finite positive number".into());
-    }
-    let Json::Arr(entries) = field(&top, "entries")? else {
-        return Err("`entries` must be an array".into());
-    };
-    if entries.is_empty() {
-        return Err("`entries` is empty".into());
-    }
-    // (n, builder) -> eplus_candidates and the level builder's bound
-    // flag, for the cross-entry acceptance check.
-    let mut bfs_eplus: Vec<(usize, usize)> = Vec::new();
-    let mut level_rows: Vec<(usize, usize, bool)> = Vec::new();
-    for (idx, e) in entries.iter().enumerate() {
-        let Json::Obj(e) = e else {
-            return Err(format!("entry {idx} is not an object"));
-        };
-        let ctx = |msg: &str| format!("entry {idx}: {msg}");
-        let builder = match field(e, "builder").map_err(|m| ctx(&m))? {
-            Json::Str(s) if matches!(s.as_str(), "bfs" | "level") => s.clone(),
-            _ => return Err(ctx("`builder` must be one of bfs|level")),
-        };
-        let int = |key: &str| -> Result<usize, String> {
-            match field(e, key).map_err(|m| ctx(&m))? {
-                Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Ok(*v as usize),
-                _ => Err(ctx(&format!("`{key}` must be a non-negative integer"))),
-            }
-        };
-        let n = int("n")?;
-        let m = int("m")?;
-        if n < 2 || m < 1 {
-            return Err(ctx("instance too small to mean anything"));
-        }
-        let height = int("height")?;
-        let max_sep = int("max_sep")?;
-        let root_sep = int("root_sep")?;
-        let total_sep = int("total_sep")?;
-        let eplus = int("eplus_candidates")?;
-        if height < 1 || max_sep < 1 || eplus < 1 {
-            return Err(ctx("degenerate decomposition (height/max_sep/eplus = 0)"));
-        }
-        if max_sep < root_sep {
-            return Err(ctx("`max_sep` < `root_sep`"));
-        }
-        if total_sep < max_sep {
-            return Err(ctx("`total_sep` < `max_sep`"));
-        }
-        let num = |key: &str| -> Result<f64, String> {
-            match field(e, key).map_err(|m| ctx(&m))? {
-                Json::Num(v) if v.is_finite() && *v > 0.0 => Ok(*v),
-                _ => Err(ctx(&format!("`{key}` must be a finite positive number"))),
-            }
-        };
-        let sqrt_c = num("sqrt_c")?;
-        let balance = num("balance")?;
-        if balance > 1.0 {
-            return Err(ctx("`balance` must be in (0, 1]"));
-        }
-        let _prepare_ms = num("prepare_ms")?;
-        let _query_ms = num("query_ms")?;
-        let meets = match field(e, "meets_bound").map_err(|m| ctx(&m))? {
-            Json::Bool(b) => *b,
-            _ => return Err(ctx("`meets_bound` must be a boolean")),
-        };
-        // The flag must be consistent with the numbers it summarizes
-        // (tolerance for the 4-decimal rounding of sqrt_c).
-        if meets != (sqrt_c <= c_bound + 1e-3) {
-            return Err(ctx(&format!(
-                "`meets_bound` = {meets} inconsistent with sqrt_c = {sqrt_c} vs c_bound = {c_bound}"
-            )));
-        }
-        match builder.as_str() {
-            "bfs" => bfs_eplus.push((n, eplus)),
-            _ => level_rows.push((n, eplus, meets)),
-        }
-    }
-    // The acceptance bar: on every instance the planar builder
-    // must meet the bound and need fewer `E⁺` candidates than BFS.
-    for &(n, level_eplus, meets) in &level_rows {
-        if !meets {
-            return Err(format!(
-                "level builder misses the √-bound on the n = {n} instance"
-            ));
-        }
-        if let Some(&(_, bfs)) = bfs_eplus.iter().find(|&&(bn, _)| bn == n) {
-            if level_eplus >= bfs {
-                return Err(format!(
-                    "level builder eplus_candidates {level_eplus} is not strictly \
-                     below bfs's {bfs} on the n = {n} instance"
-                ));
-            }
-        }
-    }
-    Ok(entries.len())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -414,109 +254,39 @@ mod tests {
     }
 
     #[test]
-    fn writer_output_validates_and_roundtrips() {
-        let rows = sample();
-        let json = sep_json(&rows);
-        assert_eq!(validate_sep_json(&json), Ok(2));
-        let back = read_sep_json(&json).unwrap();
-        assert_eq!(back.len(), rows.len());
-        for (a, b) in rows.iter().zip(&back) {
-            assert_eq!(a.builder, b.builder);
-            assert_eq!(
-                (a.n, a.m, a.max_sep, a.total_sep),
-                (b.n, b.m, b.max_sep, b.total_sep)
-            );
-            assert!((a.sqrt_c - b.sqrt_c).abs() < 1e-6);
-            assert_eq!(a.meets_bound, b.meets_bound);
+    fn check_rejects_each_broken_claim() {
+        assert_eq!(check_separators(&sample()), Ok(()));
+        let broken: [fn(&mut Vec<SepRecord>); 8] = [
+            // Level builder misses the bound.
+            |rows| rows[1].meets_bound = false,
+            // Level not strictly below bfs on E⁺ candidates.
+            |rows| rows[1].eplus_candidates = rows[0].eplus_candidates,
+            |rows| rows[0].root_sep = rows[0].max_sep + 1,
+            |rows| rows[1].total_sep = rows[1].max_sep - 1,
+            |rows| rows[0].balance = 1.5,
+            |rows| rows[1].balance = 0.0,
+            |rows| rows[0].query_ms = f64::INFINITY,
+            |rows| rows[0].builder = "level".into(),
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut rows = sample();
+            breaks(&mut rows);
+            assert!(check_separators(&rows).is_err(), "case {i}");
         }
-        let view = render_sep_table(&back);
-        assert!(view.contains("level"), "{view}");
-        assert!(view.contains("c=|S|/√k"), "{view}");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_documents() {
-        assert!(validate_sep_json("").is_err());
-        assert!(validate_sep_json("[]").is_err());
-        assert!(validate_sep_json("{\"schema\": \"other/v9\"}").is_err());
-        let good = sep_json(&sample());
-        assert!(validate_sep_json(&good.replace("spsep-sep-bench/v1", "nope")).is_err());
-        // Unknown builder slug.
-        assert!(validate_sep_json(&good.replace("\"bfs\"", "\"magic\"")).is_err());
-        // meets_bound flag contradicting its numbers.
+        // bfs is not held to the bound.
         let mut rows = sample();
-        rows[1].meets_bound = false;
-        assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        // Level builder missing the bound.
-        let mut rows = sample();
-        rows[1].sqrt_c = C_BOUND + 1.0;
-        rows[1].meets_bound = false;
-        assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        // Level builder not strictly below bfs on E⁺ candidates: the
-        // acceptance bar is enforced at validation time.
-        let mut rows = sample();
-        rows[1].eplus_candidates = rows[0].eplus_candidates;
-        assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        // Structural nonsense.
-        let mut rows = sample();
-        rows[0].root_sep = rows[0].max_sep + 1;
-        assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        let mut rows = sample();
-        rows[0].balance = 1.5;
-        assert!(validate_sep_json(&sep_json(&rows)).is_err());
-        // Truncated document.
-        let mut cut = good;
-        cut.truncate(cut.len() / 2);
-        assert!(validate_sep_json(&cut).is_err());
-    }
-
-    #[test]
-    fn committed_artifact_validates_and_level_wins() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sep.json");
-        let json = std::fs::read_to_string(path).expect("BENCH_sep.json committed at repo root");
-        let entries =
-            validate_sep_json(&json).expect("committed artifact is valid spsep-sep-bench/v1");
-        assert_eq!(entries, 2, "one row per builder");
-        let rows = read_sep_json(&json).unwrap();
-        // The committed run is the full 24 000-node road instance.
-        for r in &rows {
-            assert_eq!(
-                r.n, 24_000,
-                "{}: committed run must be the full instance",
-                r.builder
-            );
-        }
-        // The headline numbers (the validator already enforced the
-        // acceptance bar; restate it here so a failure names the
-        // builders involved).
-        let get = |slug: &str| {
-            rows.iter()
-                .find(|r| r.builder == slug)
-                .unwrap_or_else(|| panic!("missing {slug} row"))
-        };
-        let (bfs, level) = (get("bfs"), get("level"));
-        assert!(
-            level.eplus_candidates < bfs.eplus_candidates,
-            "level {} vs bfs {}",
-            level.eplus_candidates,
-            bfs.eplus_candidates
-        );
-        assert!(level.meets_bound);
+        rows[0].meets_bound = false;
+        assert_eq!(check_separators(&rows), Ok(()));
     }
 
     #[test]
     fn e23_smoke_covers_every_builder() {
         let (report, records) = e23_separators(true);
-        assert_eq!(records.len(), 2, "{report}");
         let (w, h, _) = ROAD_SMOKE;
-        for r in &records {
-            assert_eq!(r.n, w * h);
-            assert!(r.max_sep >= 1 && r.total_sep >= r.max_sep, "{}", r.builder);
-            assert!(r.prepare_ms > 0.0 && r.query_ms > 0.0, "{}", r.builder);
-            assert!(r.balance > 0.0 && r.balance <= 1.0, "{}", r.builder);
-        }
+        assert!(records.iter().all(|r| r.n == w * h), "{report}");
         // The planar builder must already win at smoke scale.
-        let json = sep_json(&records);
-        assert_eq!(validate_sep_json(&json), Ok(2));
+        if let Err(e) = check_separators(&records) {
+            panic!("{e}\n{report}");
+        }
     }
 }

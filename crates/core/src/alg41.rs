@@ -38,9 +38,8 @@ use crate::AbsorbingCycle;
 use rayon::prelude::*;
 use spsep_graph::dense::relax_product;
 use spsep_graph::{DiGraph, Edge, Semiring};
-use spsep_pram::{Counter, Metrics, PhaseRecord};
+use spsep_pram::{Counter, Metrics};
 use spsep_separator::SepTree;
-use std::time::Instant;
 
 /// Per-node output: the interface matrix (row-major over
 /// `Interface::verts`) and this node's `E_t` contribution.
@@ -77,7 +76,6 @@ pub fn augment_leaves_up<S: Semiring>(
         }
         let width = range.len();
         let mut level_span = spsep_trace::span!("alg41.level", level = depth, width = width);
-        let level_start = Instant::now();
         let work_before = metrics.total_work();
         metrics.phase(width);
         let outputs: Vec<(u32, NodeOutput<S>)> = range
@@ -134,13 +132,6 @@ pub fn augment_leaves_up<S: Semiring>(
         level_span.add_ops(level_ops);
         level_span.add_bytes(level_peak);
         drop(level_span);
-        metrics.record_phase(PhaseRecord {
-            label: format!("alg41/level {depth}"),
-            width,
-            wall_ns: level_start.elapsed().as_nanos() as u64,
-            ops: level_ops,
-            peak_bytes: level_peak,
-        });
         if absorbing {
             return Err(AbsorbingCycle);
         }

@@ -34,9 +34,8 @@ use crate::AbsorbingCycle;
 use rayon::prelude::*;
 use spsep_graph::dense::SemiMatrix;
 use spsep_graph::{DiGraph, Edge, Semiring};
-use spsep_pram::{Counter, Metrics, PhaseRecord};
+use spsep_pram::{Counter, Metrics};
 use spsep_separator::SepTree;
-use std::time::Instant;
 
 /// Compute `E⁺` with Algorithm 4.3. Also returns (via
 /// [`AugmentStats`]-adjacent metrics) the number of doubling rounds used.
@@ -53,7 +52,6 @@ pub fn augment_path_doubling<S: Semiring>(
     // the phase allocates only the node matrices themselves.
     let pool = WorkspacePool::<S>::new();
     let mut init_span = spsep_trace::span!("alg43.init", width = num_nodes);
-    let init_start = Instant::now();
     let work_before = metrics.total_work();
     metrics.phase(num_nodes);
     let init: Vec<(SemiMatrix<S>, LeafOutcome)> = (0..num_nodes)
@@ -108,13 +106,6 @@ pub fn augment_path_doubling<S: Semiring>(
     init_span.add_ops(init_ops);
     init_span.add_bytes(init_bytes);
     drop(init_span);
-    metrics.record_phase(PhaseRecord {
-        label: "alg43/init".into(),
-        width: num_nodes,
-        wall_ns: init_start.elapsed().as_nanos() as u64,
-        ops: init_ops,
-        peak_bytes: init_bytes,
-    });
     if absorbing {
         return Err(AbsorbingCycle);
     }
@@ -143,7 +134,6 @@ pub fn augment_path_doubling<S: Semiring>(
     for round in 0..max_rounds {
         rounds_used += 1;
         let mut round_span = spsep_trace::span!("alg43.round", round = round, width = num_nodes);
-        let round_start = Instant::now();
         let round_work_before = metrics.total_work();
         // ii(1): squaring, all nodes at once.
         metrics.phase(num_nodes);
@@ -219,13 +209,6 @@ pub fn augment_path_doubling<S: Semiring>(
         round_span.add_ops(round_ops);
         round_span.add_bytes(live_mat_bytes(&mats));
         drop(round_span);
-        metrics.record_phase(PhaseRecord {
-            label: format!("alg43/round {round}"),
-            width: num_nodes,
-            wall_ns: round_start.elapsed().as_nanos() as u64,
-            ops: round_ops,
-            peak_bytes: live_mat_bytes(&mats),
-        });
         if !changed && !merge_changed.into_inner() {
             break;
         }

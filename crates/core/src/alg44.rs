@@ -38,10 +38,9 @@ use crate::workspace::NodeWorkspace;
 use crate::AbsorbingCycle;
 use rayon::prelude::*;
 use spsep_graph::{DiGraph, Edge, Semiring};
-use spsep_pram::{Counter, Metrics, PhaseRecord};
+use spsep_pram::{Counter, Metrics};
 use spsep_separator::SepTree;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Compute `E⁺` with the Remark 4.4 shared-table doubling.
 ///
@@ -89,7 +88,6 @@ pub fn augment_shared_doubling<S: Semiring>(
     };
     let mut absorbing = false;
     let mut init_span = spsep_trace::span!("alg44.init", width = tree.nodes().len());
-    let init_start = Instant::now();
     let init_work_before = metrics.total_work();
     metrics.phase(tree.nodes().len());
     // One workspace serves the whole sequential init scan.
@@ -136,13 +134,6 @@ pub fn augment_shared_doubling<S: Semiring>(
     init_span.add_ops(init_ops);
     init_span.add_bytes(shared_bytes(&pairs, &weight));
     drop(init_span);
-    metrics.record_phase(PhaseRecord {
-        label: "alg44/init".into(),
-        width: tree.nodes().len(),
-        wall_ns: init_start.elapsed().as_nanos() as u64,
-        ops: init_ops,
-        peak_bytes: shared_bytes(&pairs, &weight),
-    });
     if absorbing {
         return Err(AbsorbingCycle);
     }
@@ -152,7 +143,6 @@ pub fn augment_shared_doubling<S: Semiring>(
     // Grouped by the *target* slot so rounds can run group-parallel
     // without write conflicts.
     let mut table_span = spsep_trace::span!("alg44.table");
-    let table_start = Instant::now();
     let table_work_before = metrics.total_work();
     let mut triples: Vec<(u32, u32, u32)> = Vec::new(); // (target, left, right)
     for iface in &ifaces {
@@ -197,20 +187,12 @@ pub fn augment_shared_doubling<S: Semiring>(
     table_span.add_ops(table_ops);
     table_span.add_bytes(table_bytes);
     drop(table_span);
-    metrics.record_phase(PhaseRecord {
-        label: "alg44/table".into(),
-        width: tree.nodes().len(),
-        wall_ns: table_start.elapsed().as_nanos() as u64,
-        ops: table_ops,
-        peak_bytes: table_bytes,
-    });
 
     // --- Doubling rounds. ----------------------------------------------
     let max_rounds =
         2 * (usize::BITS - g.n().max(2).leading_zeros()) as usize + 2 * tree.height() as usize + 2;
     for round in 0..max_rounds {
         let mut round_span = spsep_trace::span!("alg44.round", round = round, width = groups.len());
-        let round_start = Instant::now();
         let round_work_before = metrics.total_work();
         metrics.phase(groups.len().max(1));
         metrics.work(Counter::Doubling, triples.len() as u64);
@@ -238,13 +220,6 @@ pub fn augment_shared_doubling<S: Semiring>(
         round_span.add_ops(round_ops);
         round_span.add_bytes(table_bytes);
         drop(round_span);
-        metrics.record_phase(PhaseRecord {
-            label: format!("alg44/round {round}"),
-            width: groups.len().max(1),
-            wall_ns: round_start.elapsed().as_nanos() as u64,
-            ops: round_ops,
-            peak_bytes: table_bytes,
-        });
         if updates.is_empty() {
             break;
         }

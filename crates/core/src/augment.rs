@@ -9,8 +9,11 @@ use spsep_separator::{tree::sorted_union, SepNode, SepTree};
 pub struct AugmentStats {
     /// `|E⁺|` after parallel-edge deduplication.
     pub eplus_edges: usize,
-    /// Candidate pairs emitted before deduplication
-    /// (`Σ_t |S(t)|² + |B(t)|²`, minus diagonals / unreachable pairs).
+    /// Candidate pairs visited before deduplication: every off-diagonal
+    /// pair of `S(t)×S(t)` and of `B(t)×B(t)` at every node `t`, i.e.
+    /// `Σ_t |S(t)|² − |S(t)| + |B(t)|² − |B(t)|`. Pairs whose weight is
+    /// `0̄` (unreachable) count although they emit no edge, and a pair
+    /// in both sets counts once per set.
     pub raw_pairs: usize,
     /// Tree height `d_G`.
     pub d_g: u32,

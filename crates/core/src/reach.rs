@@ -17,9 +17,8 @@ use crate::query::Preprocessed;
 use rayon::prelude::*;
 use spsep_graph::semiring::Boolean;
 use spsep_graph::{BitMatrix, DiGraph, Edge};
-use spsep_pram::{Counter, Metrics, PhaseRecord};
+use spsep_pram::{Counter, Metrics};
 use spsep_separator::SepTree;
-use std::time::Instant;
 
 /// Estimated word-ops of a boolean `r×k · k×c` product.
 fn matmul_ops(r: usize, k: usize, c: usize) -> u64 {
@@ -50,7 +49,6 @@ pub fn augment_reach_leaves_up(
         }
         let width = range.len();
         let mut level_span = spsep_trace::span!("reach.level", level = depth, width = width);
-        let level_start = Instant::now();
         let work_before = metrics.total_work();
         metrics.phase(width);
         type NodeOut = (u32, BitMatrix, Vec<Edge<bool>>, usize, u64);
@@ -97,13 +95,6 @@ pub fn augment_reach_leaves_up(
         level_span.add_ops(level_ops);
         level_span.add_bytes(level_peak);
         drop(level_span);
-        metrics.record_phase(PhaseRecord {
-            label: format!("reach/level {depth}"),
-            width,
-            wall_ns: level_start.elapsed().as_nanos() as u64,
-            ops: level_ops,
-            peak_bytes: level_peak,
-        });
     }
 
     let eplus = dedupe_eplus::<Boolean>(eplus);

@@ -17,13 +17,17 @@
 //!
 //! The counters are atomics with relaxed ordering: they are statistics, not
 //! synchronization, and must stay cheap inside rayon loops. Execution
-//! itself runs on real threads through [`run_phase`], which pairs a rayon
-//! parallel iteration with the corresponding depth charge — that is the
-//! whole "PRAM simulator": real parallel speedup plus model-faithful cost
-//! numbers.
+//! itself runs on real threads: each driver charges [`Metrics::phase`]
+//! once per rayon fan-out, so the "PRAM simulator" is real parallel
+//! speedup plus model-faithful cost numbers.
+//!
+//! This crate keeps only the model totals. Where the wall time, width,
+//! charged ops and peak bytes of one phase go is recorded by the
+//! `spsep_trace` spans the drivers open per level or round
+//! (`alg41.level`, `alg43.init`/`alg43.round`, `alg44.init`/`alg44.table`/
+//! `alg44.round`, `reach.level`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Kinds of primitive work the algorithms charge for.
 ///
@@ -51,32 +55,12 @@ pub enum Counter {
 
 const NUM_COUNTERS: usize = 7;
 
-/// One profiled algorithm phase: what it was, how wide it fanned out, how
-/// long it really took, how much model work it charged, and the peak
-/// bytes of matrices + workspaces live while it ran. Recorded by the
-/// augmentation drivers (one per tree level / doubling round) so
-/// experiments can show *where* the wall time goes, not just totals.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseRecord {
-    /// Phase label, e.g. `"alg41/level 3"` or `"alg43/round 2"`.
-    pub label: String,
-    /// Parallel width of the phase (items fanned out).
-    pub width: usize,
-    /// Wall-clock nanoseconds.
-    pub wall_ns: u64,
-    /// Model work charged during the phase (delta of `total_work`).
-    pub ops: u64,
-    /// Peak live bytes of node matrices + workspaces observed.
-    pub peak_bytes: u64,
-}
-
 /// Work/depth accumulator. Cheap to share (`&Metrics`) across rayon tasks.
 #[derive(Debug, Default)]
 pub struct Metrics {
     work: [AtomicU64; NUM_COUNTERS],
     depth: AtomicU64,
     phases: AtomicU64,
-    phase_log: Mutex<Vec<PhaseRecord>>,
 }
 
 impl Metrics {
@@ -118,22 +102,6 @@ impl Metrics {
     /// Number of parallel phases charged.
     pub fn phases(&self) -> u64 {
         self.phases.load(Ordering::Relaxed)
-    }
-
-    /// Append one profiled phase to the phase log. Callers record phases
-    /// sequentially (levels, rounds), so the log order is deterministic.
-    pub fn record_phase(&self, record: PhaseRecord) {
-        if let Ok(mut log) = self.phase_log.lock() {
-            log.push(record);
-        }
-    }
-
-    /// Snapshot of the profiled phases recorded so far, in record order.
-    pub fn phase_records(&self) -> Vec<PhaseRecord> {
-        self.phase_log
-            .lock()
-            .map(|log| log.clone())
-            .unwrap_or_default()
     }
 
     /// Snapshot for reporting.
@@ -207,32 +175,6 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Run `body` as one parallel phase over `0..width` with rayon, charging
-/// the matching depth to `metrics`. `body` receives each index.
-///
-/// This is the execution side of the cost model: one call = one PRAM
-/// phase.
-pub fn run_phase<F>(metrics: &Metrics, width: usize, body: F)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    use rayon::prelude::*;
-    metrics.phase(width);
-    (0..width).into_par_iter().for_each(body);
-}
-
-/// Sequential variant of [`run_phase`] for small widths where rayon
-/// overhead dominates; charges the identical model cost.
-pub fn run_phase_seq<F>(metrics: &Metrics, width: usize, mut body: F)
-where
-    F: FnMut(usize),
-{
-    metrics.phase(width);
-    for i in 0..width {
-        body(i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,28 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn run_phase_executes_all_and_charges_once() {
-        let m = Metrics::new();
-        let hits = AtomicU64::new(0);
-        run_phase(&m, 100, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-        assert_eq!(m.phases(), 1);
-        assert!(m.depth() >= 7);
-    }
-
-    #[test]
-    fn run_phase_seq_matches_parallel_cost() {
-        let mp = Metrics::new();
-        run_phase(&mp, 64, |_| {});
-        let ms = Metrics::new();
-        run_phase_seq(&ms, 64, |_| {});
-        assert_eq!(mp.depth(), ms.depth());
-        assert_eq!(mp.phases(), ms.phases());
-    }
-
-    #[test]
     fn concurrent_updates_do_not_lose_counts() {
         use rayon::prelude::*;
         let m = Metrics::new();
@@ -289,32 +209,6 @@ mod tests {
             m.work(Counter::Relaxation, 1);
         });
         assert_eq!(m.work_of(Counter::Relaxation), 1000);
-    }
-
-    #[test]
-    fn phase_records_keep_order_and_content() {
-        let m = Metrics::new();
-        assert!(m.phase_records().is_empty());
-        m.record_phase(PhaseRecord {
-            label: "alg41/level 1".into(),
-            width: 4,
-            wall_ns: 123,
-            ops: 99,
-            peak_bytes: 4096,
-        });
-        m.record_phase(PhaseRecord {
-            label: "alg41/level 0".into(),
-            width: 1,
-            wall_ns: 456,
-            ops: 1,
-            peak_bytes: 8192,
-        });
-        let log = m.phase_records();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].label, "alg41/level 1");
-        assert_eq!(log[0].ops, 99);
-        assert_eq!(log[1].wall_ns, 456);
-        assert_eq!(log[1].peak_bytes, 8192);
     }
 
     #[test]
